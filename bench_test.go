@@ -397,7 +397,7 @@ func BenchmarkHarnessOverhead(b *testing.B) {
 			for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
 				cfg := cfg
 				fail := h.Protect(seed, cfg.Name(), "", func(obs opt.Observer) error {
-					comp, err := core.CompileObserved(ins, cfg, obs)
+					comp, err := core.Compile(ins, cfg, core.Hooks{Observer: obs})
 					if err != nil {
 						return err
 					}
@@ -415,8 +415,9 @@ func BenchmarkHarnessOverhead(b *testing.B) {
 // BenchmarkMetricsOverhead measures what campaign telemetry costs: the
 // "off" case runs the plain single-program unit, the "on" case runs the
 // identical unit with a live registry threaded through every layer — phase
-// timers around generate/truth/lower/opt/codegen, the per-pass histogram
-// observer, and the stage counters. Collection is atomic adds behind cached
+// timers around generate/truth, and per compile the recorder a metered
+// campaign unit attaches (lower/opt/codegen phases, per-pass histograms,
+// stage counters). Collection is atomic adds behind cached
 // pointers, so "on" should stay within a few percent of "off" (the ~5%
 // budget scripts/check.sh smoke-tests).
 func BenchmarkMetricsOverhead(b *testing.B) {
@@ -443,7 +444,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 				b.Fatal(err)
 			}
 			for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
-				comp, err := core.CompileMetered(ins, cfg, nil, reg)
+				comp, err := core.Compile(ins, cfg, core.Hooks{Recorder: corpus.NewRecorder(reg)})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -478,7 +479,7 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 			b.Fatal(err)
 		}
 		for _, cfg := range []*Compiler{GCC(O3), LLVM(O3)} {
-			comp, err := core.CompileMetered(ins, cfg, nil, reg)
+			comp, err := core.Compile(ins, cfg, core.Hooks{Recorder: corpus.NewRecorder(reg)})
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -174,7 +174,9 @@ func History(p pipeline.Personality) []pipeline.Commit { return pipeline.History
 
 // Compile lowers, optimizes, and code-generates the instrumented program,
 // scanning the assembly for surviving markers (paper steps ②-③).
-func Compile(ins *Instrumented, c *Compiler) (*Compilation, error) { return core.Compile(ins, c) }
+func Compile(ins *Instrumented, c *Compiler) (*Compilation, error) {
+	return core.Compile(ins, c, core.Hooks{})
+}
 
 // DiffMissed returns the dead markers target keeps but reference
 // eliminates: feasible missed optimizations of target (paper §3.1).
@@ -184,7 +186,7 @@ func DiffMissed(target, reference *Compilation, t *Truth) []string {
 
 // Analyze compiles and computes missed plus primary-missed markers.
 func Analyze(ins *Instrumented, c *Compiler, t *Truth, g *MarkerCFG) (*core.Analysis, error) {
-	return core.Analyze(ins, c, t, g)
+	return core.Analyze(ins, c, t, g, core.Hooks{})
 }
 
 // ---------------------------------------------------------------------------
@@ -326,12 +328,18 @@ type PassElims = trace.PassElims
 // the returned profile records every pass instance's wall time and IR-size
 // delta, and attributes each eliminated marker to the pass that killed it.
 func CompileTraced(ins *Instrumented, c *Compiler) (*Compilation, *TraceProfile, error) {
-	return core.CompileTraced(ins, c)
+	rec := trace.NewRecorder(ins.MarkerNames(), instrument.IsMarker)
+	comp, err := core.Compile(ins, c, core.Hooks{Trace: rec})
+	if err != nil {
+		return nil, nil, err
+	}
+	return comp, rec.Profile(), nil
 }
 
 // AnalyzeTraced is Analyze with tracing enabled (Analysis.Trace is set).
 func AnalyzeTraced(ins *Instrumented, c *Compiler, t *Truth, g *MarkerCFG) (*core.Analysis, error) {
-	return core.AnalyzeTraced(ins, c, t, g)
+	rec := trace.NewRecorder(ins.MarkerNames(), instrument.IsMarker)
+	return core.Analyze(ins, c, t, g, core.Hooks{Trace: rec})
 }
 
 // AttributeFinding names the pass instance that eliminates a finding's
@@ -375,7 +383,7 @@ type RemarkSummary = corpus.RemarkSummary
 // decisions relevant to each surviving marker.
 func CompileRemarked(ins *Instrumented, c *Compiler) (*Compilation, *RemarkProfile, error) {
 	coll := remark.NewCollector(instrument.IsMarker)
-	comp, err := core.CompileObserved(ins, c, coll)
+	comp, err := core.Compile(ins, c, core.Hooks{Remarks: coll})
 	if err != nil {
 		return nil, nil, err
 	}

@@ -27,7 +27,7 @@ type Outcome struct {
 // MissedAt reports whether the marker survives compilation of ins at the
 // given personality/level/version.
 func MissedAt(ins *instrument.Program, p pipeline.Personality, lvl pipeline.Level, commits int, marker string) (bool, error) {
-	comp, err := core.Compile(ins, pipeline.AtCommit(p, lvl, commits))
+	comp, err := core.Compile(ins, pipeline.AtCommit(p, lvl, commits), core.Hooks{})
 	if err != nil {
 		return false, err
 	}

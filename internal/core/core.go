@@ -21,8 +21,6 @@ import (
 	"dcelens/internal/interp"
 	"dcelens/internal/ir"
 	"dcelens/internal/lower"
-	"dcelens/internal/metrics"
-	"dcelens/internal/opt"
 	"dcelens/internal/pipeline"
 	"dcelens/internal/remark"
 	"dcelens/internal/trace"
@@ -72,52 +70,46 @@ type Compilation struct {
 }
 
 // Compile lowers, optimizes, and code-generates the instrumented program
-// under cfg, then scans the assembly for surviving markers.
-func Compile(ins *instrument.Program, cfg *pipeline.Config) (*Compilation, error) {
-	return CompileObserved(ins, cfg, nil)
-}
-
-// CompileObserved is Compile with a pipeline observer attached (the
-// harness passes its watchdog/fault-injection guard here); obs may be nil.
-func CompileObserved(ins *instrument.Program, cfg *pipeline.Config, obs opt.Observer) (*Compilation, error) {
-	return CompileMetered(ins, cfg, obs, nil)
-}
-
-// CompileMetered is CompileObserved with campaign telemetry: the lowering,
-// middle-end, and codegen phases are timed into reg ("phase.lower",
-// "phase.opt", "phase.codegen"), a per-pass collector rides the pipeline
-// (via Config.CompileMetered), and the assembly marker scan is counted. A
-// nil registry records nothing and adds no observer.
-func CompileMetered(ins *instrument.Program, cfg *pipeline.Config, obs opt.Observer, reg *metrics.Registry) (*Compilation, error) {
-	return CompileProbed(ins, cfg, obs, reg, nil)
-}
-
-// CompileProbed is CompileMetered with a phase probe observing each
-// back-half phase's individual wall-clock extent (lower, opt, codegen) —
-// the span timeline's per-unit phase spans. A nil probe costs one
-// comparison per phase and records nothing.
-func CompileProbed(ins *instrument.Program, cfg *pipeline.Config, obs opt.Observer, reg *metrics.Registry, probe metrics.PhaseProbe) (*Compilation, error) {
-	pstart := probe.Start()
-	stop := reg.Time(metrics.PhaseLower)
+// under cfg, then scans the assembly for surviving markers. h attaches the
+// compile's optional consumers; the zero Hooks attaches none.
+//
+// With a trace attached, the trace's view of the surviving markers is
+// cross-checked against the assembly scan, so a provenance entry can be
+// trusted to describe what the oracle observes.
+func Compile(ins *instrument.Program, cfg *pipeline.Config, h Hooks) (*Compilation, error) {
+	rec := h.Recorder
+	start := clock(rec)
 	m, err := lower.Lower(ins.Prog)
-	stop()
-	probe.Observe(metrics.PhaseLower, pstart)
+	phase(rec, "lower", start)
 	if err != nil {
 		return nil, err
 	}
-	if err := cfg.CompileProbed(m, obs, reg, probe); err != nil {
+	if err := optimize(cfg, m, &h); err != nil {
 		return nil, err
 	}
-	pstart = probe.Start()
-	stop = reg.Time(metrics.PhaseCodegen)
+	start = clock(rec)
 	text := asm.Emit(m)
 	alive := map[string]bool{}
 	for _, name := range asm.SurvivingMarkers(text, instrument.IsMarker) {
 		alive[name] = true
 	}
-	stop()
-	probe.Observe(metrics.PhaseCodegen, pstart)
-	reg.Counter("stage.asm.scans").Inc()
+	phase(rec, "codegen", start)
+	if h.Trace != nil {
+		// The IR-level scan and the assembly oracle must agree, or the
+		// provenance would attribute eliminations the oracle never sees
+		// (or miss ones it does).
+		final := h.Trace.Profile().FinalSurviving
+		if len(final) != len(alive) {
+			return nil, fmt.Errorf("core: %s: trace/asm marker disagreement: %d surviving in IR, %d in assembly",
+				cfg.Name(), len(final), len(alive))
+		}
+		for _, name := range final {
+			if !alive[name] {
+				return nil, fmt.Errorf("core: %s: trace/asm marker disagreement: %s survives in IR but not in assembly",
+					cfg.Name(), name)
+			}
+		}
+	}
 	return &Compilation{Config: cfg, Module: m, Asm: text, Alive: alive}, nil
 }
 
@@ -197,48 +189,37 @@ type Analysis struct {
 	PrimaryMissed []string
 
 	// Trace is the per-pass profile and marker provenance of the
-	// compilation; nil unless the analysis ran with tracing enabled
-	// (AnalyzeTraced / corpus Options.Trace).
+	// compilation; nil unless Hooks.Trace was attached (corpus
+	// Options.Trace).
 	Trace *trace.Profile
 
 	// Remarks is the compilation's optimization-remark profile: per-pass
 	// applied/missed counts, miss-reason histogram, and each surviving
-	// marker's nearest-miss chain. Nil unless the analysis ran with a
-	// remark collector attached (corpus Options.Remarks); the collector
-	// rides the same Observers chain as the trace recorder and the
-	// profile is attached by the caller that owns the collector.
+	// marker's nearest-miss chain. Nil unless Hooks.Remarks was attached
+	// (corpus Options.Remarks).
 	Remarks *remark.Profile
 }
 
-// Analyze compiles ins under cfg and computes missed and primary-missed
-// markers relative to the ground truth and the marker CFG.
-func Analyze(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG) (*Analysis, error) {
-	return AnalyzeObserved(ins, cfg, t, g, nil)
-}
-
-// AnalyzeObserved is Analyze with a pipeline observer attached; obs may be
-// nil.
-func AnalyzeObserved(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, obs opt.Observer) (*Analysis, error) {
-	return AnalyzeMetered(ins, cfg, t, g, obs, nil)
-}
-
-// AnalyzeMetered is AnalyzeObserved with campaign telemetry recorded into
-// reg (see CompileMetered); a nil registry records nothing.
-func AnalyzeMetered(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, obs opt.Observer, reg *metrics.Registry) (*Analysis, error) {
-	return AnalyzeProbed(ins, cfg, t, g, obs, reg, nil)
-}
-
-// AnalyzeProbed is AnalyzeMetered with a phase probe (see CompileProbed);
-// a nil probe records nothing.
-func AnalyzeProbed(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, obs opt.Observer, reg *metrics.Registry, probe metrics.PhaseProbe) (*Analysis, error) {
-	comp, err := CompileProbed(ins, cfg, obs, reg, probe)
+// Analyze compiles ins under cfg (see Compile) and computes missed and
+// primary-missed markers relative to the ground truth and the marker CFG.
+// The analysis carries the profiles of the trace and remark collector h
+// attaches.
+func Analyze(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerCFG, h Hooks) (*Analysis, error) {
+	comp, err := Compile(ins, cfg, h)
 	if err != nil {
 		return nil, err
 	}
 	missed := comp.Missed(t)
-	return &Analysis{
+	an := &Analysis{
 		Compilation:   comp,
 		Missed:        missed,
 		PrimaryMissed: g.Primary(t, missed),
-	}, nil
+	}
+	if h.Trace != nil {
+		an.Trace = h.Trace.Profile()
+	}
+	if h.Remarks != nil {
+		an.Remarks = h.Remarks.Profile()
+	}
+	return an, nil
 }

@@ -73,7 +73,7 @@ int main(void) {
 
 	// At -O0 the dead marker survives (no constant propagation through the
 	// global); at -O2 both personalities eliminate it.
-	o0, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O0))
+	o0, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O0), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ int main(void) {
 	}
 
 	for _, p := range []pipeline.Personality{pipeline.GCC, pipeline.LLVM} {
-		o2, err := Compile(ins, pipeline.New(p, pipeline.O2))
+		o2, err := Compile(ins, pipeline.New(p, pipeline.O2), Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,11 +135,11 @@ int main(void) {
 		ptrMarker, flowMarker = flowMarker, ptrMarker
 	}
 
-	gccC, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O3))
+	gccC, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O3), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	llvmC, err := Compile(ins, pipeline.New(pipeline.LLVM, pipeline.O3))
+	llvmC, err := Compile(ins, pipeline.New(pipeline.LLVM, pipeline.O3), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestCompilersSoundOnCorpus(t *testing.T) {
 			return false
 		}
 		for _, cfg := range configs {
-			comp, err := Compile(ins, cfg)
+			comp, err := Compile(ins, cfg, Hooks{})
 			if err != nil {
 				t.Logf("seed %d: %s: %v", seed, cfg.Name(), err)
 				return false
@@ -323,7 +323,7 @@ func TestHigherLevelsEliminateMore(t *testing.T) {
 		}
 		totalDead += len(truth.Dead)
 		for _, lvl := range []pipeline.Level{pipeline.O0, pipeline.O1, pipeline.O2} {
-			comp, err := Compile(ins, pipeline.New(pipeline.LLVM, lvl))
+			comp, err := Compile(ins, pipeline.New(pipeline.LLVM, lvl), Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -355,7 +355,7 @@ int main(void) {
   }
   return 0;
 }`)
-	comp, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O0))
+	comp, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O0), Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}

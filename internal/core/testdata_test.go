@@ -59,11 +59,11 @@ func TestListingFiles(t *testing.T) {
 			if truth.Alive[marker] {
 				t.Fatal("listing marker must be dead")
 			}
-			gcc, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O3))
+			gcc, err := Compile(ins, pipeline.New(pipeline.GCC, pipeline.O3), Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			llvm, err := Compile(ins, pipeline.New(pipeline.LLVM, pipeline.O3))
+			llvm, err := Compile(ins, pipeline.New(pipeline.LLVM, pipeline.O3), Hooks{})
 			if err != nil {
 				t.Fatal(err)
 			}

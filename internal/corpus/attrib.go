@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"dcelens/internal/core"
+	"dcelens/internal/instrument"
 	"dcelens/internal/pipeline"
 	"dcelens/internal/trace"
 )
@@ -83,14 +84,15 @@ func (c *Campaign) AttributeFinding(f Finding) (*trace.Attribution, error) {
 		return nil, fmt.Errorf("corpus: no result for seed %d", f.Seed)
 	}
 	ref := c.attributionReference(f, r)
-	comp, prof, err := core.CompileTraced(r.Ins, ref)
+	rec := trace.NewRecorder(r.Ins.MarkerNames(), instrument.IsMarker)
+	comp, err := core.Compile(r.Ins, ref, core.Hooks{Trace: rec})
 	if err != nil {
 		return nil, err
 	}
 	if comp.Alive[f.Marker] {
 		return nil, fmt.Errorf("corpus: %s does not eliminate %s (seed %d)", ref.Name(), f.Marker, f.Seed)
 	}
-	killer, ok := prof.Provenance().KillerOf(f.Marker)
+	killer, ok := rec.Profile().Provenance().KillerOf(f.Marker)
 	if !ok {
 		return nil, fmt.Errorf("corpus: %s eliminated %s but provenance has no killer (seed %d)",
 			ref.Name(), f.Marker, f.Seed)

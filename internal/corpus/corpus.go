@@ -38,6 +38,7 @@ import (
 	"dcelens/internal/remark"
 	"dcelens/internal/sched"
 	"dcelens/internal/span"
+	"dcelens/internal/trace"
 )
 
 // Options configures a campaign.
@@ -508,31 +509,26 @@ func remarkFields(seed int64, rs *RemarkSummary) map[string]any {
 
 // buildProgram runs the program-construction half of a seed under the
 // harness: generation, instrumentation, ground truth, and the marker CFG.
-// Failures are infeasible-kind and abandon the seed; the failure event is
-// buffered into ev (and phase spans into sp) for sequenced emission.
-func buildProgram(o Options, h *harness.Harness, seed int64, ev *eventBuf, sp *spanBuf, tid int) *ProgramResult {
+// Failures are infeasible-kind and abandon the seed; the failure event (and
+// the phase spans) are buffered into buf for sequenced emission.
+func buildProgram(o Options, h *harness.Harness, seed int64, buf *slotBuf, tid int) *ProgramResult {
 	r := &ProgramResult{Seed: seed, PerCfg: map[ConfigKey]*core.Analysis{}}
+	rec := newRecorder(o.Metrics, buf, tid)
 	if fail := h.Protect(seed, "", "", func(opt.Observer) error {
-		pstart := sp.now()
-		stop := o.Metrics.Time(metrics.PhaseGenerate)
+		start := rec.now()
 		prog := cgen.Generate(o.GenConfig(seed))
-		stop()
-		sp.phase(tid, metrics.PhaseGenerate, pstart)
+		rec.phase(metrics.PhaseGenerate, start)
 		o.Metrics.Counter("stage.cgen.programs").Inc()
-		pstart = sp.now()
-		stop = o.Metrics.Time(metrics.PhaseInstrument)
+		start = rec.now()
 		ins, err := instrument.Instrument(prog, instrument.Options{})
-		stop()
-		sp.phase(tid, metrics.PhaseInstrument, pstart)
+		rec.phase(metrics.PhaseInstrument, start)
 		if err != nil {
 			return fmt.Errorf("%w: %v", harness.ErrInfeasible, err)
 		}
 		r.Ins = ins
-		pstart = sp.now()
-		stop = o.Metrics.Time(metrics.PhaseTruth)
+		start = rec.now()
 		r.Truth, err = core.GroundTruth(ins)
-		stop()
-		sp.phase(tid, metrics.PhaseTruth, pstart)
+		rec.phase(metrics.PhaseTruth, start)
 		o.Metrics.Counter("stage.interp.runs").Inc()
 		if err != nil {
 			return fmt.Errorf("%w: %v", harness.ErrInfeasible, err)
@@ -545,7 +541,7 @@ func buildProgram(o Options, h *harness.Harness, seed int64, ev *eventBuf, sp *s
 	}); fail != nil {
 		r.Err = fmt.Errorf("seed %d: %s: %s", seed, fail.Kind, fail.Message)
 		r.Failures = append(r.Failures, *fail)
-		ev.emit("failure", failureFields(fail))
+		buf.emit("failure", failureFields(fail))
 	}
 	return r
 }
@@ -563,35 +559,25 @@ func failureFields(f *harness.Failure) map[string]any {
 
 // runConfig compiles and analyzes one configuration under the harness.
 // It touches no shared state: the analysis is returned for the seed's
-// finalize stage to merge, and events (and spans) are buffered into ev and
-// sp for sequenced emission, which is what lets a seed's units run
-// concurrently.
-func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, src string, traced, remarks bool, ev *eventBuf, sp *spanBuf, tid int) (*core.Analysis, *harness.Failure) {
+// finalize stage to merge, and events and spans are buffered into buf for
+// sequenced emission, which is what lets a seed's units run concurrently.
+func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, src string, traced, remarks bool, buf *slotBuf, tid int) (*core.Analysis, *harness.Failure) {
 	cfg := pipeline.New(key.Personality, key.Level)
-	ev.emit("unit_begin", map[string]any{"seed": r.Seed, "config": key.String()})
-	ustart := sp.now()
-	probe := sp.probe(tid)
+	buf.emit("unit_begin", map[string]any{"seed": r.Seed, "config": key.String()})
+	ustart := buf.now()
 	var out *core.Analysis
-	fail := h.Protect(r.Seed, key.String(), src, func(obs opt.Observer) error {
-		if sp != nil {
-			// The pass-span observer rides the same seam as the trace and
-			// metrics collectors, after the harness guard.
-			obs = opt.Observers(obs, &passSpans{sp: sp, tid: tid})
+	fail := h.Protect(r.Seed, key.String(), src, func(guard opt.Observer) error {
+		hooks := core.Hooks{Observer: guard}
+		if rec := newRecorder(o.Metrics, buf, tid); rec != nil {
+			hooks.Recorder = rec
 		}
-		var coll *remark.Collector
-		if remarks {
-			// The collector is the chain's only RemarkSink: composing it here
-			// is what turns the pipeline's remark emission on at all.
-			coll = remark.NewCollector(instrument.IsMarker)
-			obs = opt.Observers(obs, coll)
-		}
-		var an *core.Analysis
-		var err error
 		if traced {
-			an, err = core.AnalyzeTracedProbed(r.Ins, cfg, r.Truth, r.Graph, obs, o.Metrics, probe)
-		} else {
-			an, err = core.AnalyzeProbed(r.Ins, cfg, r.Truth, r.Graph, obs, o.Metrics, probe)
+			hooks.Trace = trace.NewRecorder(r.Ins.MarkerNames(), instrument.IsMarker)
 		}
+		if remarks {
+			hooks.Remarks = remark.NewCollector(instrument.IsMarker)
+		}
+		an, err := core.Analyze(r.Ins, cfg, r.Truth, r.Graph, hooks)
 		if err != nil {
 			return err
 		}
@@ -600,22 +586,16 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, s
 				return fmt.Errorf("%w: %v", harness.ErrMiscompile, verr)
 			}
 		}
-		if coll != nil {
-			an.Remarks = coll.Profile()
-		}
 		out = an
 		return nil
 	})
 	o.Metrics.Counter(metrics.CounterUnits).Inc()
-	ev.emit("unit_end", map[string]any{
+	buf.emit("unit_end", map[string]any{
 		"seed": r.Seed, "config": key.String(), "ok": fail == nil,
 	})
-	if sp != nil {
-		sp.add(span.Span{
-			Name: key.String(), Cat: span.CatUnit, TID: tid,
-			Start: ustart, Dur: time.Since(ustart),
-			Args: []span.Arg{span.Int64("seed", r.Seed), span.Bool("ok", fail == nil)},
-		})
+	if buf.timed() {
+		buf.span(key.String(), span.CatUnit, tid, ustart,
+			span.Int64("seed", r.Seed), span.Bool("ok", fail == nil))
 	}
 	if fail != nil {
 		return nil, fail

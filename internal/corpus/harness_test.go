@@ -2,14 +2,61 @@ package corpus
 
 import (
 	"encoding/json"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
 
 	"dcelens/internal/harness"
+	"dcelens/internal/metrics"
 	"dcelens/internal/pipeline"
+	"dcelens/internal/span"
 )
+
+// TestCrashSignatureIgnoresSinks: one injected panic buckets under one
+// signature whatever observability is attached. The hook composition sits
+// between the pipeline and the faulting guard; if its frames reached the
+// signature, turning on -remarks would move a crash to a "new" bucket.
+func TestCrashSignatureIgnoresSinks(t *testing.T) {
+	faults, err := harness.ParseFaults("panic:gvn:2:gcc-sim -O3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []struct {
+		name string
+		o    Options
+	}{
+		{"no sinks", Options{}},
+		{"metrics", Options{Metrics: metrics.New()}},
+		{"remarks", Options{Remarks: true}},
+		{"trace", Options{Trace: true}},
+		{"spans", Options{Spans: span.New(io.Discard)}},
+		{"all", Options{Metrics: metrics.New(), Remarks: true, Trace: true, Spans: span.New(io.Discard)}},
+	}
+	want := ""
+	for _, v := range variants {
+		o := v.o
+		o.Programs, o.BaseSeed, o.Faults = 3, 1, faults
+		o.Personalities, o.Levels = []pipeline.Personality{pipeline.GCC}, []pipeline.Level{pipeline.O3}
+		c, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(c.Stats.Failures) != 1 || c.Stats.Failures[0].Kind != harness.KindCrash {
+			t.Fatalf("%s: failures = %+v, want the one injected crash", v.name, c.Stats.Failures)
+		}
+		sig := c.Stats.Failures[0].Signature
+		if !strings.HasPrefix(sig, "internal/opt.ObservedPipeline<-") {
+			t.Errorf("%s: signature %q does not start at the pipeline", v.name, sig)
+		}
+		if want == "" {
+			want = sig
+		} else if sig != want {
+			t.Errorf("%s: signature %q, want %q (as with no sinks)", v.name, sig, want)
+		}
+	}
+}
 
 // TestFaultInjectionCampaign is the tentpole acceptance test: a campaign
 // with one pass instance panicking and another stalling still completes,

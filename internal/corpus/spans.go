@@ -1,86 +1,16 @@
-// Span instrumentation for campaigns: the buffered per-stage span
-// collection that rides the sequencer (keeping deterministic traces
-// byte-identical across worker counts), the sched probe that turns
-// scheduling observations into occupancy counters and wall-trace spans,
-// and the pass observer that projects per-pass timings onto the timeline.
+// Scheduler instrumentation for campaigns: the sched probe that turns
+// scheduling observations into occupancy counters and wall-trace spans.
+// The logical spans (seed, unit, phase, pass, checkpoint) ride the
+// sequencer in slotBuf instead (recorder.go).
 package corpus
 
 import (
 	"time"
 
-	"dcelens/internal/ir"
 	"dcelens/internal/metrics"
-	"dcelens/internal/opt"
 	"dcelens/internal/sched"
 	"dcelens/internal/span"
 )
-
-// spanBuf collects a stage's spans for deferred, sequenced emission — the
-// span-side twin of eventBuf. Logical spans (seed, unit, phase, pass,
-// checkpoint) reach the recorder only when the owning slot's turn comes up
-// in corpus order, which is what makes a deterministic trace's span
-// sequence independent of scheduling. A nil *spanBuf records nothing, so
-// the instrumented paths cost one comparison when spans are off.
-type spanBuf []span.Span
-
-func (b *spanBuf) add(sp span.Span) {
-	if b != nil {
-		*b = append(*b, sp)
-	}
-}
-
-// now stamps the clock only when spans are being collected.
-func (b *spanBuf) now() time.Time {
-	if b == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// phase records one phase span that began at start and ends now.
-func (b *spanBuf) phase(tid int, name string, start time.Time) {
-	if b == nil {
-		return
-	}
-	b.add(span.Span{Name: name, Cat: span.CatPhase, TID: tid, Start: start, Dur: time.Since(start)})
-}
-
-func (b spanBuf) flush(r *span.Recorder) {
-	for _, sp := range b {
-		r.Emit(sp)
-	}
-}
-
-// probe returns the phase probe feeding b, or nil when spans are off (so
-// the probed compile entry points skip their clock reads entirely).
-func (b *spanBuf) probe(tid int) metrics.PhaseProbe {
-	if b == nil {
-		return nil
-	}
-	return func(phase string, start time.Time, d time.Duration) {
-		b.add(span.Span{Name: phase, Cat: span.CatPhase, TID: tid, Start: start, Dur: d})
-	}
-}
-
-// passSpans is the opt.Observer that projects each executed pass instance
-// onto the unit's timeline track, composed after the harness guard via
-// opt.Observers — the same seam the trace recorder and metrics collector
-// ride.
-type passSpans struct {
-	sp  *spanBuf
-	tid int
-}
-
-func (p *passSpans) BeginPipeline(m *ir.Module) {}
-
-func (p *passSpans) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st opt.PassStats) {
-	end := time.Now()
-	p.sp.add(span.Span{
-		Name: pass, Cat: span.CatPass, TID: p.tid,
-		Start: end.Add(-st.Duration), Dur: st.Duration,
-		Args: []span.Arg{span.Int("sched", scheduleIndex), span.Int("iter", iteration)},
-	})
-}
 
 // schedProbe bridges the engine's scheduling observations into the span
 // recorder (wall traces only — a deterministic recorder drops CatSched)

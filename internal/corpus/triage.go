@@ -44,12 +44,12 @@ func InterestingnessFor(marker string, target, reference *pipeline.Config) reduc
 		if truth.Alive[marker] {
 			return false // must still be dead
 		}
-		tc, err := core.Compile(ins, target)
+		tc, err := core.Compile(ins, target, core.Hooks{})
 		if err != nil || !tc.Alive[marker] {
 			return false // target must still miss it
 		}
 		if reference != nil {
-			rc, err := core.Compile(ins, reference)
+			rc, err := core.Compile(ins, reference, core.Hooks{})
 			if err != nil || rc.Alive[marker] {
 				return false // reference must still eliminate it
 			}
@@ -232,7 +232,7 @@ func TriageCases(p pipeline.Personality, cases []*ReducedCase) (*Triage, error) 
 		if rc.Finding.Level == pipeline.O1 {
 			cfg = futureO1
 		}
-		comp, err := core.Compile(ins, cfg)
+		comp, err := core.Compile(ins, cfg, core.Hooks{})
 		if err != nil {
 			return nil, err
 		}

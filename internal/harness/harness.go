@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"time"
 
@@ -276,8 +277,15 @@ func (h *Harness) classify(seed int64, config, source string, err error) *Failur
 	return f
 }
 
+// plumbingFrames prefix the in-repo frames that are never the bug: the
+// guard and Protect machinery, and the observer fan-out that internal/core
+// puts between the pipeline and the guard when more than the guard is
+// attached. Skipping the fan-out keeps a crash's bucket independent of
+// which observability sinks the campaign runs with.
+var plumbingFrames = []string{"internal/harness.", "internal/core.fanout."}
+
 // panicSignature derives the crash bucket from a goroutine stack: the top
-// in-repo frames outside this package, digits dropped, joined innermost
+// in-repo frames outside plumbingFrames, digits dropped, joined innermost
 // first. Two panics from the same code path bucket together even when
 // value IDs or seeds differ in the message.
 func panicSignature(stack []byte) string {
@@ -292,8 +300,8 @@ func panicSignature(stack []byte) string {
 		}
 		name := line[:strings.Index(line, "(")]
 		name = strings.TrimPrefix(name, "dcelens/")
-		if strings.HasPrefix(name, "internal/harness.") {
-			continue // the guard and Protect machinery are never the bug
+		if slices.ContainsFunc(plumbingFrames, func(p string) bool { return strings.HasPrefix(name, p) }) {
+			continue
 		}
 		frames = append(frames, name)
 		if len(frames) == 3 {

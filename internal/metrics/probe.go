@@ -1,9 +1,6 @@
 package metrics
 
-import (
-	"strconv"
-	"time"
-)
+import "strconv"
 
 // Scheduler occupancy counters, fed by the corpus layer's sched probe on
 // wall-clock registries (deterministic registries skip them — occupancy is
@@ -18,27 +15,4 @@ const (
 // WorkerBusyCounter names worker w's cumulative busy-time counter.
 func WorkerBusyCounter(w int) string {
 	return "sched.worker." + strconv.Itoa(w) + ".busy_ns"
-}
-
-// PhaseProbe observes individual phase executions — where Registry.Time
-// aggregates phases into histograms, a probe sees each execution's own
-// start and duration, which is what the span timeline needs. A nil probe
-// is free: Start skips the clock read and Observe is a no-op, so probed
-// code paths cost one comparison when disabled.
-type PhaseProbe func(phase string, start time.Time, d time.Duration)
-
-// Start returns the phase's start time (the zero time for a nil probe).
-func (p PhaseProbe) Start() time.Time {
-	if p == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// Observe reports one phase execution that began at start.
-func (p PhaseProbe) Observe(phase string, start time.Time) {
-	if p == nil {
-		return
-	}
-	p(phase, start, time.Since(start))
 }

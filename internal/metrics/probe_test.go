@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestOpenEventLogConcurrentAppendAndTail: a resumed log whose file ends in
@@ -170,26 +169,5 @@ func TestAbsorbOccupancyCounters(t *testing.T) {
 		if got := merged.Counter(name).Value(); got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
-	}
-}
-
-// TestPhaseProbe: the nil probe records nothing and costs no clock reads
-// (Start returns the zero time); a live probe sees the phase name and a
-// non-negative duration.
-func TestPhaseProbe(t *testing.T) {
-	var p PhaseProbe
-	if !p.Start().IsZero() {
-		t.Error("nil probe Start must return the zero time")
-	}
-	p.Observe("opt", p.Start()) // must not panic
-
-	var gotPhase string
-	var gotDur time.Duration
-	p = func(phase string, _ time.Time, d time.Duration) {
-		gotPhase, gotDur = phase, d
-	}
-	p.Observe("lower", p.Start())
-	if gotPhase != "lower" || gotDur < 0 {
-		t.Errorf("probe observed (%q, %v)", gotPhase, gotDur)
 	}
 }

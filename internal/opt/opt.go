@@ -16,7 +16,6 @@ package opt
 
 import (
 	"fmt"
-	"reflect"
 	"time"
 
 	"dcelens/internal/ir"
@@ -205,7 +204,8 @@ type PassStats struct {
 // untraced compilations are indistinguishable from the pre-observer
 // pipeline. internal/trace provides the standard implementation (per-pass
 // profiles and marker provenance); the interface lives here, argument-only,
-// so that trace can satisfy it without opt importing trace.
+// so that trace can satisfy it without opt importing trace. A run attaches
+// one observer: internal/core composes a compile's consumers into it.
 type Observer interface {
 	// BeginPipeline sees the module before the first pass runs.
 	BeginPipeline(m *ir.Module)
@@ -216,80 +216,6 @@ type Observer interface {
 	// with zero visited functions — the schedule shape an observer sees is
 	// independent of dirty tracking.
 	AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st PassStats)
-}
-
-// multiObserver fans one observation out to several observers in order.
-type multiObserver []Observer
-
-func (mo multiObserver) BeginPipeline(m *ir.Module) {
-	for _, o := range mo {
-		o.BeginPipeline(m)
-	}
-}
-
-func (mo multiObserver) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st PassStats) {
-	for _, o := range mo {
-		o.AfterPass(m, pass, scheduleIndex, iteration, st)
-	}
-}
-
-// multiRemarkObserver is the composition used when at least one composed
-// observer is a RemarkSink: it fans remarks out to the sinks while the
-// embedded multiObserver fans out the pass observations. The wrapper
-// itself implements RemarkSink, so sink-ness survives nested composition
-// (the traced compile path re-composes an already-composed observer with
-// the trace recorder). Plain multiObserver deliberately does NOT implement
-// RemarkSink — otherwise remark emission would switch on whenever any
-// observer (the ever-present harness watchdog, say) is attached.
-type multiRemarkObserver struct {
-	multiObserver
-	sinks []RemarkSink
-}
-
-func (mo *multiRemarkObserver) Remark(r Remark) {
-	for _, s := range mo.sinks {
-		s.Remark(r)
-	}
-}
-
-// Observers composes observers into one, dropping nils — including typed
-// nils (a nil *trace.Recorder or *metricsObserver boxed into the
-// interface), which would otherwise both survive the composition and crash
-// on first call. Zero survivors yield a true nil Observer, preserving the
-// unobserved fast path: ObservedPipeline's nil check short-circuits and an
-// uninstrumented run pays no interface-call cost. A single survivor is
-// returned unwrapped. When several survive and at least one implements
-// RemarkSink, the composition forwards remarks to exactly those sinks —
-// the others never see them (no cross-contamination). The harness chains
-// its watchdog/fault observer with the trace recorder, the metrics pass
-// collector, and the remark collector through this.
-func Observers(obs ...Observer) Observer {
-	var out multiObserver
-	for _, o := range obs {
-		if o == nil {
-			continue
-		}
-		if v := reflect.ValueOf(o); v.Kind() == reflect.Pointer && v.IsNil() {
-			continue
-		}
-		out = append(out, o)
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	var sinks []RemarkSink
-	for _, o := range out {
-		if s, ok := o.(RemarkSink); ok {
-			sinks = append(sinks, s)
-		}
-	}
-	if len(sinks) > 0 {
-		return &multiRemarkObserver{out, sinks}
-	}
-	return out
 }
 
 // Pipeline runs passes in order until a fixpoint or maxIters repetitions of

@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"dcelens/internal/ir"
-	"dcelens/internal/metrics"
 	"dcelens/internal/opt"
 )
 
@@ -58,12 +57,18 @@ type Config struct {
 }
 
 // Name returns a human-readable compiler identity, e.g.
-// "gcc-sim@27f3a1b -O3".
+// "gcc-sim@27f3a1b -O3": the ID of the last commit applied, "base" before
+// the first. Indices past the history count into FutureFixes, so
+// FutureConfig is named after its last fix.
 func (c *Config) Name() string {
 	h := History(c.Personality)
 	id := "base"
-	if c.CommitIndex > 0 && c.CommitIndex <= len(h) {
-		id = h[c.CommitIndex-1].ID
+	if n := c.CommitIndex; n > len(h) {
+		if fixes := FutureFixes(c.Personality); n-len(h) <= len(fixes) {
+			id = fixes[n-len(h)-1].ID
+		}
+	} else if n > 0 {
+		id = h[n-1].ID
 	}
 	return fmt.Sprintf("%s@%s %s", c.Personality, id, c.Level)
 }
@@ -90,43 +95,16 @@ func (c *Config) Iterations() int { return c.iters }
 // natural schedule position.
 func (c *Config) Passes() []opt.Pass { return c.schedule }
 
-// Compile optimizes the module in place according to the configuration.
-func (c *Config) Compile(m *ir.Module) error {
-	return c.CompileObserved(m, nil)
-}
-
-// CompileObserved optimizes like Compile while reporting every executed
-// pass instance to obs (nil disables observation; internal/trace provides
-// the profiling/provenance observer).
+// CompileObserved optimizes the module in place according to the
+// configuration, reporting every executed pass instance to obs (nil
+// disables observation). An obs that is also an opt.RemarkSink switches
+// the passes' remark emission on. internal/core.Compile is the full
+// lower → optimize → emit path built on it.
 func (c *Config) CompileObserved(m *ir.Module, obs opt.Observer) error {
 	if err := opt.ObservedPipeline(m, c.opts, c.schedule, c.iters, obs); err != nil {
 		return fmt.Errorf("%s: %w", c.Name(), err)
 	}
 	return nil
-}
-
-// CompileMetered is CompileObserved with campaign telemetry attached: the
-// whole middle-end run is timed into reg's "phase.opt" histogram and an
-// opt.MetricsObserver is chained after obs, feeding the per-pass timing
-// and changed-rate collectors. A nil registry degrades to CompileObserved
-// exactly (opt.Observers drops the nil collector), so callers thread reg
-// unconditionally.
-func (c *Config) CompileMetered(m *ir.Module, obs opt.Observer, reg *metrics.Registry) error {
-	if reg == nil {
-		return c.CompileObserved(m, obs)
-	}
-	defer reg.Time(metrics.PhaseOpt)()
-	return c.CompileObserved(m, opt.Observers(obs, opt.MetricsObserver(reg)))
-}
-
-// CompileProbed is CompileMetered with a phase probe observing the
-// middle-end run's own wall-clock extent (the span timeline's "opt" phase
-// span). A nil probe degrades to CompileMetered exactly.
-func (c *Config) CompileProbed(m *ir.Module, obs opt.Observer, reg *metrics.Registry, probe metrics.PhaseProbe) error {
-	start := probe.Start()
-	err := c.CompileMetered(m, obs, reg)
-	probe.Observe(metrics.PhaseOpt, start)
-	return err
 }
 
 // New returns the personality at the latest version for the given level.

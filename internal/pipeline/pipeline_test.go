@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"strings"
 	"testing"
 
 	"dcelens/internal/cgen"
@@ -102,6 +103,24 @@ func TestFutureConfigStrongest(t *testing.T) {
 	}
 }
 
+// TestConfigNamesDistinguishVersions: the pre-history base, the latest
+// version, and the future-fixes config carry pairwise distinct names, and
+// the future one names its last fix (triage errors cite the config name).
+func TestConfigNamesDistinguishVersions(t *testing.T) {
+	for _, p := range []Personality{GCC, LLVM} {
+		base := AtCommit(p, O3, 0).Name()
+		latest := New(p, O3).Name()
+		future := FutureConfig(p, O3).Name()
+		if base == latest || latest == future || base == future {
+			t.Errorf("%s: names not distinct: base %q, latest %q, future %q", p, base, latest, future)
+		}
+		fixes := FutureFixes(p)
+		if last := fixes[len(fixes)-1].ID; !strings.Contains(future, "@"+last+" ") {
+			t.Errorf("%s: future config named %q, want the last fix %s", p, future, last)
+		}
+	}
+}
+
 // TestAllConfigsCompileCorrectly compiles one instrumented program under
 // every personality, level, and a sample of historical versions, verifying
 // semantics each time.
@@ -135,7 +154,7 @@ func TestAllConfigsCompileCorrectly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cfg.Compile(m); err != nil {
+		if err := cfg.CompileObserved(m, nil); err != nil {
 			t.Fatalf("%s: %v", cfg.Name(), err)
 		}
 		got, err := ir.Execute(m, ir.ExecOptions{})
@@ -163,7 +182,7 @@ func TestSeed111CompilesCleanly(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := New(p, O3).Compile(m); err != nil {
+		if err := New(p, O3).CompileObserved(m, nil); err != nil {
 			t.Fatalf("%s: %v", p, err)
 		}
 	}

@@ -27,8 +27,8 @@ import (
 const chainCap = 8
 
 // Collector implements opt.Observer and opt.RemarkSink over one
-// compilation. Attach it through opt.Observers alongside the trace
-// recorder and metrics observer; only the collector sees the remarks.
+// compilation. Attach it as core.Hooks.Remarks (or, on a bare pipeline
+// run, as the observer itself); only the collector sees the remarks.
 type Collector struct {
 	isMarker func(string) bool
 	module   *ir.Module

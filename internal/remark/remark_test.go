@@ -1,17 +1,11 @@
 package remark
 
 import (
-	"strings"
 	"testing"
 
 	"dcelens/internal/instrument"
 	"dcelens/internal/ir"
-	"dcelens/internal/lower"
-	"dcelens/internal/metrics"
 	"dcelens/internal/opt"
-	"dcelens/internal/parser"
-	"dcelens/internal/sema"
-	"dcelens/internal/trace"
 )
 
 func missed(pass, fn, subject string, reason opt.Reason) opt.Remark {
@@ -138,122 +132,5 @@ func TestChainCap(t *testing.T) {
 	}
 	if chain := c.Profile().Chain("DCEMarker0"); len(chain) != chainCap {
 		t.Fatalf("chain length = %d, want cap %d", len(chain), chainCap)
-	}
-}
-
-// buildIR lowers a MiniC fragment, as the opt tests do.
-func buildIR(t *testing.T, src string) *ir.Module {
-	t.Helper()
-	prog, err := parser.Parse(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sema.Check(prog); err != nil {
-		t.Fatal(err)
-	}
-	m, err := lower.Lower(prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
-// orderObserver appends its tag to a shared log on every observation, to
-// pin down fan-out ordering.
-type orderObserver struct {
-	tag string
-	log *[]string
-}
-
-func (o *orderObserver) BeginPipeline(m *ir.Module) { *o.log = append(*o.log, o.tag+":begin") }
-func (o *orderObserver) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st opt.PassStats) {
-	*o.log = append(*o.log, o.tag+":"+pass)
-}
-
-const fanoutSrc = `
-void DCEMarker0(void);
-int g;
-int main(void) {
-  int x = 1 + 2;
-  if (g) {
-    DCEMarker0();
-  }
-  return x - 3;
-}`
-
-// TestObserverFanOut runs one pipeline with the remark collector, the trace
-// recorder, and the metrics pass observer composed through opt.Observers —
-// the full production stack at once — and checks that each consumer sees
-// exactly its own channel:
-//
-//   - the collector receives remarks (including dce's side-effects anchor
-//     for the surviving marker), and a collector-free composition of the
-//     same observers leaves remark emission off entirely;
-//   - the trace recorder still assembles its pass profile and the metrics
-//     registry its pass counters (pass observations are not consumed by the
-//     remark fan-out);
-//   - observers fire in composition order;
-//   - typed nils are dropped even when a remark sink is present.
-func TestObserverFanOut(t *testing.T) {
-	passes := []opt.Pass{opt.Mem2Reg, opt.SCCP, opt.DCE}
-
-	// Collector-free baseline: remark emission must stay off.
-	m := buildIR(t, fanoutSrc)
-	reg := metrics.New()
-	rec := trace.NewRecorder([]string{"DCEMarker0"}, instrument.IsMarker)
-	base := NewCollector(instrument.IsMarker)
-	if err := opt.ObservedPipeline(m, opt.Options{}, passes, 2, opt.Observers(rec, opt.MetricsObserver(reg))); err != nil {
-		t.Fatal(err)
-	}
-	// The baseline collector was never composed, so it saw nothing; the
-	// pipeline ran without a sink, so no pass emitted.
-	if base.Len() != 0 {
-		t.Fatalf("uncomposed collector saw %d remarks", base.Len())
-	}
-
-	// Full stack: order log around the production observers.
-	m = buildIR(t, fanoutSrc)
-	reg = metrics.New()
-	rec = trace.NewRecorder([]string{"DCEMarker0"}, instrument.IsMarker)
-	coll := NewCollector(instrument.IsMarker)
-	var log []string
-	first := &orderObserver{tag: "first", log: &log}
-	last := &orderObserver{tag: "last", log: &log}
-	var typedNil *trace.Recorder
-	obs := opt.Observers(first, typedNil, rec, opt.MetricsObserver(reg), coll, last)
-	if err := opt.ObservedPipeline(m, opt.Options{}, passes, 2, obs); err != nil {
-		t.Fatal(err)
-	}
-
-	if coll.Len() == 0 {
-		t.Fatal("composed collector saw no remarks")
-	}
-	prof := coll.Profile()
-	chain := prof.Chain("DCEMarker0")
-	if len(chain) == 0 {
-		t.Fatalf("surviving marker has no chain; chains = %v", prof.Chains)
-	}
-	if chain[0].Pass != "dce" || chain[0].Reason != string(opt.ReasonSideEffects) {
-		t.Errorf("chain anchor = %+v, want dce/side-effects", chain[0])
-	}
-
-	// The pass channel still reached the other consumers.
-	if got := reg.Histogram("pass.dce").Count(); got == 0 {
-		t.Error("metrics observer recorded no dce instances")
-	}
-	if tp := rec.Profile(); len(tp.Passes) == 0 {
-		t.Error("trace recorder assembled no pass profile")
-	}
-
-	// Ordering: every pass observation hits `first` before `last`, and the
-	// log starts with the BeginPipeline pair.
-	if len(log) < 2 || log[0] != "first:begin" || log[1] != "last:begin" {
-		t.Fatalf("begin order = %v", log[:min(2, len(log))])
-	}
-	for i := 2; i < len(log); i += 2 {
-		f, l := log[i], log[i+1]
-		if !strings.HasPrefix(f, "first:") || !strings.HasPrefix(l, "last:") || f[len("first:"):] != l[len("last:"):] {
-			t.Fatalf("pass order broken at %d: %q then %q", i, f, l)
-		}
 	}
 }

@@ -21,11 +21,12 @@ func tracedCompile(t *testing.T, seed int64, p pipeline.Personality, lvl pipelin
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, prof, err := core.CompileTraced(ins, pipeline.New(p, lvl))
+	rec := trace.NewRecorder(ins.MarkerNames(), instrument.IsMarker)
+	comp, err := core.Compile(ins, pipeline.New(p, lvl), core.Hooks{Trace: rec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ins, truth, comp, prof
+	return ins, truth, comp, rec.Profile()
 }
 
 // TestRecorderAttributesEveryElimination checks the provenance invariant:
