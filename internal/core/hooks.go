@@ -61,9 +61,9 @@ func optimize(cfg *pipeline.Config, m *ir.Module, h *Hooks) error {
 func (h *Hooks) observer() opt.Observer {
 	switch {
 	case h.Remarks != nil:
-		return remarkFanout{fanout{h}}
+		return remarkFanout{fanout(*h)}
 	case h.Trace != nil || h.Recorder != nil:
-		return fanout{h}
+		return fanout(*h)
 	}
 	return h.Observer
 }
@@ -74,10 +74,9 @@ func (h *Hooks) observer() opt.Observer {
 // does, the rest do not. Its frame sits between ObservedPipeline and the
 // guard in every crash stack, so internal/harness keeps it out of crash
 // signatures.
-type fanout struct{ h *Hooks }
+type fanout Hooks
 
-func (f fanout) BeginPipeline(m *ir.Module) {
-	h := f.h
+func (h fanout) BeginPipeline(m *ir.Module) {
 	if h.Trace != nil {
 		h.Trace.BeginPipeline(m)
 	}
@@ -92,8 +91,7 @@ func (f fanout) BeginPipeline(m *ir.Module) {
 	}
 }
 
-func (f fanout) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st opt.PassStats) {
-	h := f.h
+func (h fanout) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st opt.PassStats) {
 	if h.Trace != nil {
 		h.Trace.AfterPass(m, pass, scheduleIndex, iteration, st)
 	}
@@ -113,7 +111,7 @@ func (f fanout) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration in
 // opt.RemarkSink.
 type remarkFanout struct{ fanout }
 
-func (f remarkFanout) Remark(r opt.Remark) { f.h.Remarks.Remark(r) }
+func (h remarkFanout) Remark(r opt.Remark) { h.Remarks.Remark(r) }
 
 // clock stamps a phase start, reading the clock only when rec records.
 func clock(rec Recorder) time.Time {

@@ -10,6 +10,7 @@ import (
 	"dcelens/internal/ir"
 	"dcelens/internal/opt"
 	"dcelens/internal/pipeline"
+	"dcelens/internal/remark"
 	"dcelens/internal/trace"
 )
 
@@ -114,5 +115,27 @@ func TestGuardAbortDispatch(t *testing.T) {
 	}
 	if strings.Join(rec.phases, ",") != "lower,opt" || rec.aborted[0] || !rec.aborted[1] {
 		t.Errorf("phases %v aborted %v, want lower then an aborted opt", rec.phases, rec.aborted)
+	}
+}
+
+// TestHooksObserverComposition: nothing attached composes to a nil
+// observer and a lone caller's observer to itself (the unobserved and the
+// guard-only fast paths); the fan-out is a remark sink exactly when a
+// collector is attached.
+func TestHooksObserverComposition(t *testing.T) {
+	if obs := (&Hooks{}).observer(); obs != nil {
+		t.Errorf("zero Hooks composed to %T, want nil", obs)
+	}
+	guard := funcObserver(func(*ir.Module, string, int) {})
+	if _, ok := (&Hooks{Observer: guard}).observer().(funcObserver); !ok {
+		t.Error("a lone caller's observer must be attached as is")
+	}
+	tr := trace.NewRecorder(nil, instrument.IsMarker)
+	if _, sink := (&Hooks{Observer: guard, Trace: tr}).observer().(opt.RemarkSink); sink {
+		t.Error("a compile without a collector switched remark emission on")
+	}
+	coll := remark.NewCollector(instrument.IsMarker)
+	if _, sink := (&Hooks{Observer: guard, Remarks: coll}).observer().(opt.RemarkSink); !sink {
+		t.Error("attaching a collector did not switch remark emission on")
 	}
 }

@@ -40,7 +40,6 @@ type seedJob struct {
 	src      string
 	restored bool
 	skipped  bool
-	unitBuf  []slotBuf
 	unitAn   []*core.Analysis
 	unitFail []*harness.Failure
 }
@@ -100,7 +99,6 @@ func (j *seedJob) prepare(w int) (int, error) {
 		return 0, nil
 	}
 	j.src = ast.Print(j.r.Ins.Prog)
-	j.unitBuf = make([]slotBuf, len(j.cfgs))
 	j.unitAn = make([]*core.Analysis, len(j.cfgs))
 	j.unitFail = make([]*harness.Failure, len(j.cfgs))
 	return len(j.cfgs), nil
@@ -110,8 +108,7 @@ func (j *seedJob) prepare(w int) (int, error) {
 // unit's own slot for finalize to merge.
 func (j *seedJob) unit(w, u int) error {
 	key := j.cfgs[u]
-	buf := &j.unitBuf[u]
-	buf.o = j.o
+	buf := &slotBuf{o: j.o}
 	an, fail := runConfig(*j.o, j.h, j.r, key, j.src, j.o.Trace, j.o.Remarks, buf, w+1)
 	if fail != nil && (j.o.Trace || j.o.Remarks) {
 		// Graceful degradation: the observers themselves (the trace

@@ -1,7 +1,7 @@
 // Scheduler instrumentation for campaigns: the sched probe that turns
 // scheduling observations into occupancy counters and wall-trace spans.
 // The logical spans (seed, unit, phase, pass, checkpoint) ride the
-// sequencer in slotBuf instead (recorder.go).
+// sequencer in slotBuf (recorder.go).
 package corpus
 
 import (

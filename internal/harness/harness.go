@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime/debug"
-	"slices"
 	"strings"
 	"time"
 
@@ -194,10 +193,10 @@ func (g *guard) tick() {
 }
 
 // Protect runs one guarded unit of work. fn receives the watchdog/fault
-// observer to attach to the pipeline it drives (via opt.Observers when it
-// already has one). A nil return means the unit completed; otherwise the
-// returned Failure records the classified, bucketed, reproducible fault.
-// Protect never lets a panic escape.
+// observer to attach to the pipeline it drives (as core.Hooks.Observer).
+// A nil return means the unit completed; otherwise the returned Failure
+// records the classified, bucketed, reproducible fault. Protect never lets
+// a panic escape.
 func (h *Harness) Protect(seed int64, config, source string, fn func(obs opt.Observer) error) (fail *Failure) {
 	g := &guard{seed: seed, budget: h.budget()}
 	if h != nil {
@@ -277,15 +276,8 @@ func (h *Harness) classify(seed int64, config, source string, err error) *Failur
 	return f
 }
 
-// plumbingFrames prefix the in-repo frames that are never the bug: the
-// guard and Protect machinery, and the observer fan-out that internal/core
-// puts between the pipeline and the guard when more than the guard is
-// attached. Skipping the fan-out keeps a crash's bucket independent of
-// which observability sinks the campaign runs with.
-var plumbingFrames = []string{"internal/harness.", "internal/core.fanout."}
-
 // panicSignature derives the crash bucket from a goroutine stack: the top
-// in-repo frames outside plumbingFrames, digits dropped, joined innermost
+// in-repo frames outside the plumbing, digits dropped, joined innermost
 // first. Two panics from the same code path bucket together even when
 // value IDs or seeds differ in the message.
 func panicSignature(stack []byte) string {
@@ -300,7 +292,11 @@ func panicSignature(stack []byte) string {
 		}
 		name := line[:strings.Index(line, "(")]
 		name = strings.TrimPrefix(name, "dcelens/")
-		if slices.ContainsFunc(plumbingFrames, func(p string) bool { return strings.HasPrefix(name, p) }) {
+		// The guard and Protect machinery are never the bug, and neither is
+		// the observer fan-out internal/core puts between the pipeline and
+		// the guard when more than the guard is attached: skipping it keeps
+		// a crash's bucket independent of the campaign's observability sinks.
+		if strings.HasPrefix(name, "internal/harness.") || strings.HasPrefix(name, "internal/core.fanout.") {
 			continue
 		}
 		frames = append(frames, name)

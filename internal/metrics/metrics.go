@@ -1,13 +1,15 @@
 // Package metrics is the campaign-wide telemetry substrate: a
 // dependency-free, low-overhead registry of counters, gauges, and
 // fixed-bucket duration histograms, plus the collectors built on it (the
-// per-pass pipeline observer, the JSONL event log, and the live progress
-// heartbeat).
+// JSONL event log and the live progress heartbeat). The per-pass and
+// per-phase projections into a registry live with the campaign's
+// per-unit recorder (internal/corpus).
 //
 // internal/trace answers "which pass eliminated this marker" (provenance);
 // this package answers "where does the time go and what is the campaign
-// doing right now" (performance). The two share the same opt.Observer seam,
-// so a campaign can run with either, both, or neither attached.
+// doing right now" (performance). Both are optional hooks of one compile
+// (internal/core), so a campaign can run with either, both, or neither
+// attached.
 //
 // Design rules:
 //
@@ -92,7 +94,7 @@ func (g *Gauge) Value() int64 {
 // Registry holds a campaign's named collectors. Collectors are created on
 // first use and shared by name; lookups are guarded by a RWMutex, so hot
 // paths should hold on to the returned collector rather than re-looking it
-// up per observation (PassObserver caches per pass name).
+// up per observation (corpus.Recorder caches per pass name).
 type Registry struct {
 	// Deterministic marks the registry for redacted rendering: reports
 	// derived from it print counts and identities but replace every

@@ -25,6 +25,10 @@ go vet ./...
 go build ./...
 go test ./...
 
+# The benchmark harness is a separate module (dcebench/go.mod), so the
+# root module's ./... skips it; vet and test it against this tree.
+(cd dcebench && go vet ./... && go test ./...)
+
 # The campaign layer is the only concurrent code: re-run the scheduler,
 # harness, and corpus suites under the race detector (the metrics registry
 # and event log are exercised by the corpus suite's resume test), plus the
@@ -44,61 +48,40 @@ trap 'rm -rf "$(dirname "$serve_bin")"' EXIT
 go build -o "$serve_bin" ./cmd/dce-serve
 go run ./scripts/loadtest.go -bin "$serve_bin"
 
-# Telemetry overhead smoke: the fully-instrumented unit must stay near the
-# uninstrumented one (~5% nominal budget; the gate is lenient because shared
-# CI machines add noise that dwarfs the real cost).
-go test -run '^$' -bench 'BenchmarkMetricsOverhead' -benchtime 2s . | awk '
-    /BenchmarkMetricsOverhead\/off/ { off = $3 }
-    /BenchmarkMetricsOverhead\/on/  { on = $3 }
-    END {
-        if (off == 0 || on == 0) { print "metrics overhead bench did not run" > "/dev/stderr"; exit 1 }
-        ratio = on / off
-        printf "metrics overhead: %.1f%% (budget ~5%%, gate 25%%)\n", (ratio - 1) * 100
-        if (ratio > 1.25) { print "metrics overhead exceeds the gate" > "/dev/stderr"; exit 1 }
-    }'
+# overhead_gate NAME BUDGET GATE: run Benchmark<NAME>Overhead's off/on
+# arms and fail when on/off exceeds GATE. The gates are lenient because
+# shared CI machines add noise that dwarfs the real cost; BUDGET is the
+# nominal cost the message reports against.
+overhead_gate() {
+    local name=$1 budget=$2 gate=$3
+    go test -run '^$' -bench "Benchmark${name}Overhead" -benchtime 2s . | awk -v name="$name" -v budget="$budget" -v gate="$gate" '
+        $1 ~ "^Benchmark" name "Overhead/off" { off = $3 }
+        $1 ~ "^Benchmark" name "Overhead/on"  { on = $3 }
+        END {
+            label = tolower(name)
+            if (off == 0 || on == 0) { print label " overhead bench did not run" > "/dev/stderr"; exit 1 }
+            ratio = on / off
+            printf "%s overhead: %.1f%% (%s, gate %.0f%%)\n", label, (ratio - 1) * 100, budget, (gate - 1) * 100
+            if (ratio > gate) { print label " overhead exceeds the gate" > "/dev/stderr"; exit 1 }
+        }'
+}
 
-# Monitoring overhead smoke: a campaign with the live HTTP server bound and
-# polled must stay near the server-less metered unit (~5% nominal budget,
-# same lenient gate as the metrics smoke for the same noise reasons).
-go test -run '^$' -bench 'BenchmarkMonitorOverhead' -benchtime 2s . | awk '
-    /BenchmarkMonitorOverhead\/off/ { off = $3 }
-    /BenchmarkMonitorOverhead\/on/  { on = $3 }
-    END {
-        if (off == 0 || on == 0) { print "monitor overhead bench did not run" > "/dev/stderr"; exit 1 }
-        ratio = on / off
-        printf "monitor overhead: %.1f%% (budget ~5%%, gate 25%%)\n", (ratio - 1) * 100
-        if (ratio > 1.25) { print "monitor overhead exceeds the gate" > "/dev/stderr"; exit 1 }
-    }'
-
-# Span-timeline overhead smoke: a campaign recording its full span timeline
-# must stay near the bare campaign (~3% nominal budget; lenient gate for the
-# same shared-CI noise reasons as the metrics and monitor smokes).
-go test -run '^$' -bench 'BenchmarkSpanOverhead' -benchtime 2s . | awk '
-    /BenchmarkSpanOverhead\/off/ { off = $3 }
-    /BenchmarkSpanOverhead\/on/  { on = $3 }
-    END {
-        if (off == 0 || on == 0) { print "span overhead bench did not run" > "/dev/stderr"; exit 1 }
-        ratio = on / off
-        printf "span overhead: %.1f%% (budget ~3%%, gate 25%%)\n", (ratio - 1) * 100
-        if (ratio > 1.25) { print "span overhead exceeds the gate" > "/dev/stderr"; exit 1 }
-    }'
-
-# Remark-collection overhead smoke: a campaign with -remarks (every pass
-# emitting applied/missed remarks, the collector deduplicating and
-# reducing them to chains) costs ~10% on this small fixture; the gate
-# bounds drift on top of that with the same noise allowance as the other
-# smokes. The remarks-off case is the real zero-cost claim — it shares the
-# "off" arm with the bare pipeline, and the emission seam there is one
+# Telemetry: the fully-instrumented unit must stay near the uninstrumented
+# one.
+overhead_gate Metrics "budget ~5%" 1.25
+# Monitoring: a campaign with the live HTTP server bound and polled must
+# stay near the server-less metered unit.
+overhead_gate Monitor "budget ~5%" 1.25
+# Span timeline: a campaign recording its full span timeline must stay near
+# the bare campaign.
+overhead_gate Span "budget ~3%" 1.25
+# Remark collection: a campaign with -remarks (every pass emitting
+# applied/missed remarks, the collector deduplicating and reducing them to
+# chains) costs ~10% on this small fixture; the gate bounds drift on top
+# of that. The remarks-off case is the real zero-cost claim — it shares
+# the "off" arm with the bare pipeline, and the emission seam there is one
 # pointer comparison per decision.
-go test -run '^$' -bench 'BenchmarkRemarkOverhead' -benchtime 2s . | awk '
-    /BenchmarkRemarkOverhead\/off/ { off = $3 }
-    /BenchmarkRemarkOverhead\/on/  { on = $3 }
-    END {
-        if (off == 0 || on == 0) { print "remark overhead bench did not run" > "/dev/stderr"; exit 1 }
-        ratio = on / off
-        printf "remark overhead: %.1f%% (nominal ~10%%, gate 35%%)\n", (ratio - 1) * 100
-        if (ratio > 1.35) { print "remark overhead exceeds the gate" > "/dev/stderr"; exit 1 }
-    }'
+overhead_gate Remark "nominal ~10%" 1.35
 
 # Allocation-regression gate: allocs/op of the standard compile unit must
 # stay within 10% of the recorded baseline (scripts/alloc-baseline.txt).
