@@ -30,6 +30,7 @@ import (
 	"dcelens/internal/harness"
 	"dcelens/internal/instrument"
 	"dcelens/internal/ir"
+	"dcelens/internal/journal"
 	"dcelens/internal/lower"
 	"dcelens/internal/metrics"
 	"dcelens/internal/monitor"
@@ -497,7 +498,7 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 		reg := metrics.New()
 		prog := harness.NewProgress(b.N, 1, reg)
 		events := metrics.NewEventLog(io.Discard)
-		events.KeepTail(4096)
+		events.Journal().KeepTail(journal.TailSize)
 		run, err := monitor.Start("127.0.0.1:0", monitor.New("bench", reg, prog, events))
 		if err != nil {
 			b.Fatal(err)

@@ -53,6 +53,7 @@ import (
 	"dcelens/internal/cli"
 	"dcelens/internal/harness"
 	"dcelens/internal/history"
+	"dcelens/internal/journal"
 	"dcelens/internal/metrics"
 	"dcelens/internal/monitor"
 	"dcelens/internal/report"
@@ -69,7 +70,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a span timeline (Chrome trace_event JSON; Perfetto/dce-prof) to this file")
 	verify := flag.Bool("verify", false, "execute every compiled module against ground truth (miscompile detection; slower)")
 	budget := flag.Int("budget", 0, "per-compilation pass-step budget (0: harness default)")
-	checkpoint := flag.String("checkpoint", "", "JSON checkpoint file; outcomes are persisted as seeds complete")
+	checkpoint := flag.String("checkpoint", "", "checkpoint file: a header line, then one JSON line appended per completed seed (a kill costs at most the seed being written)")
 	resume := flag.Bool("resume", false, "skip seeds already completed in -checkpoint")
 	inject := flag.String("inject", "", "fault-injection spec: kind:pass:seed[:config],... (kind: panic, stall, corrupt)")
 	haltAfter := flag.Int("halt-after", 0, "stop after this many seeds (testing aid: simulates a killed campaign; requires -checkpoint)")
@@ -155,7 +156,7 @@ func main() {
 		opts.Events = events
 	}
 	if mon.Serving() {
-		events.KeepTail(4096)
+		events.Journal().KeepTail(journal.TailSize)
 	}
 
 	var spans *span.Recorder
@@ -172,7 +173,7 @@ func main() {
 		opts.Spans = spans
 	}
 	if mon.Serving() {
-		spans.KeepTail(4096)
+		spans.Journal().KeepTail(journal.TailSize)
 	}
 
 	var remarkLog *dcelens.EventLog
@@ -180,7 +181,7 @@ func main() {
 		// /remarks serves the per-seed remark summaries; nothing is
 		// persisted to disk, only the tail ring matters.
 		remarkLog = dcelens.NewEventLog(io.Discard)
-		remarkLog.KeepTail(4096)
+		remarkLog.Journal().KeepTail(journal.TailSize)
 		opts.RemarkLog = remarkLog
 	}
 
@@ -214,10 +215,10 @@ func main() {
 	if err != nil {
 		cli.Fail(tool, err)
 	}
-	if cerr := events.Close(); cerr != nil {
+	if cerr := events.Journal().Close(); cerr != nil {
 		cli.Fail(tool, cerr)
 	}
-	if cerr := spans.Close(); cerr != nil {
+	if cerr := spans.Journal().Close(); cerr != nil {
 		cli.Fail(tool, cerr)
 	}
 	if *reproDir != "" {

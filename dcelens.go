@@ -426,7 +426,8 @@ func NewMetrics() *MetricsRegistry { return metrics.New() }
 func NewDeterministicMetrics() *MetricsRegistry { return metrics.NewDeterministic() }
 
 // EventLog is a structured JSONL campaign event stream with monotonic
-// sequence numbers (CampaignOptions.Events, dce-campaign -events).
+// sequence numbers (CampaignOptions.Events, dce-campaign -events). Its
+// Journal holds the live tail and Close.
 type EventLog = metrics.EventLog
 
 // NewEventLog starts an event log writing JSONL to w.
@@ -486,7 +487,8 @@ func NewCampaignProgress(total, workers int, reg *MetricsRegistry) *CampaignProg
 
 // MonitorServer is the embedded campaign monitoring HTTP server
 // (dce-campaign -serve): /healthz, /metrics (JSON + Prometheus text),
-// /progress, /findings, and /events?since=N.
+// /progress, /findings, and the /events, /timeline and /remarks ?since=N
+// tails.
 type MonitorServer = monitor.Server
 
 // NewMonitor assembles a monitoring server over a campaign's registry,

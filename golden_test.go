@@ -71,7 +71,7 @@ func TestGoldenCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := spans.Close(); err != nil {
+	if err := spans.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	snap, err := NewRunSnapshot("dce-campaign", c, reg).Marshal()

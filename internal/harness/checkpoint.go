@@ -1,20 +1,23 @@
 package harness
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
-	"strconv"
 	"sync"
+
+	"dcelens/internal/journal"
 )
 
 // Checkpoint persists per-seed campaign outcomes so an interrupted
 // campaign resumes without recomputing completed seeds. The on-disk form
-// is a single JSON document rewritten atomically (temp file + rename)
-// after every completed seed: a killed campaign always leaves either the
-// previous or the next consistent checkpoint, never a torn one.
+// is an internal/journal file: a header line (the format version and the
+// campaign metadata) followed by one {"seed":N,"outcome":...} line per
+// completed seed, appended as each seed completes. A killed campaign
+// leaves at most one torn final line, which loading ignores and the next
+// save cuts away; a later line for the same seed replaces an earlier one.
 //
 // The checkpoint stores outcomes as raw JSON so this package stays
 // independent of the corpus package's record type; resumed records decode
@@ -23,28 +26,35 @@ import (
 type Checkpoint struct {
 	mu   sync.Mutex
 	path string // empty: in-memory only (tests)
+	// fresh: the file does not hold this checkpoint yet, so the next save
+	// rewrites it whole (header plus every record) instead of appending.
+	fresh bool
 
 	meta map[string]string
 	done map[int64]json.RawMessage
 }
 
-// checkpointFile is the serialized form.
-type checkpointFile struct {
-	Version int                        `json:"version"`
-	Meta    map[string]string          `json:"meta,omitempty"`
-	Done    map[string]json.RawMessage `json:"done"`
+// checkpointHeader is the file's first line.
+type checkpointHeader struct {
+	Version int               `json:"version"`
+	Meta    map[string]string `json:"meta,omitempty"`
 }
 
-const checkpointVersion = 1
+// checkpointVersion 2 is the journal format; version 1 was one JSON
+// document rewritten whole on every save.
+const checkpointVersion = 2
 
 // NewCheckpoint creates an empty checkpoint persisting to path (empty
-// path: in-memory only).
+// path: in-memory only). Its first save starts the file afresh.
 func NewCheckpoint(path string) *Checkpoint {
-	return &Checkpoint{path: path, done: map[int64]json.RawMessage{}}
+	return &Checkpoint{path: path, fresh: true, done: map[int64]json.RawMessage{}}
 }
 
-// LoadCheckpoint reads an existing checkpoint file; a missing file yields
-// a fresh checkpoint bound to the same path.
+// LoadCheckpoint reads an existing checkpoint file, which later saves
+// append to; a missing file yields a fresh checkpoint bound to the same
+// path. Only complete lines count: a torn final record is ignored (and
+// never written to — loading is read-only), while a missing or torn
+// header, or a file in another format version, is an error.
 func LoadCheckpoint(path string) (*Checkpoint, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -53,21 +63,30 @@ func LoadCheckpoint(path string) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("harness: checkpoint: %w", err)
 	}
-	var file checkpointFile
-	if err := json.Unmarshal(data, &file); err != nil {
-		return nil, fmt.Errorf("harness: checkpoint %s: %w", path, err)
+	lines := journal.Lines(data)
+	var hdr checkpointHeader
+	if len(lines) == 0 || json.Unmarshal(lines[0], &hdr) != nil {
+		// A version-1 checkpoint is one indented document: its first line
+		// is no header, but its first value still names its version.
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&hdr) != nil || hdr.Version == checkpointVersion {
+			return nil, fmt.Errorf("harness: checkpoint %s: missing or torn header", path)
+		}
 	}
-	if file.Version != checkpointVersion {
-		return nil, fmt.Errorf("harness: checkpoint %s: version %d, want %d", path, file.Version, checkpointVersion)
+	if hdr.Version != checkpointVersion {
+		return nil, fmt.Errorf("harness: checkpoint %s: version %d, want %d; rerun the campaign to rebuild it", path, hdr.Version, checkpointVersion)
 	}
 	cp := NewCheckpoint(path)
-	cp.meta = file.Meta
-	for k, v := range file.Done {
-		seed, err := strconv.ParseInt(k, 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("harness: checkpoint %s: bad seed key %q", path, k)
+	cp.fresh = false
+	cp.meta = hdr.Meta
+	for i, line := range lines[1:] {
+		var rec struct {
+			Seed    *int64          `json:"seed"`
+			Outcome json.RawMessage `json:"outcome"`
 		}
-		cp.done[seed] = v
+		if err := json.Unmarshal(line, &rec); err != nil || rec.Seed == nil || rec.Outcome == nil {
+			return nil, fmt.Errorf("harness: checkpoint %s: line %d: not a seed record", path, i+2)
+		}
+		cp.done[*rec.Seed] = rec.Outcome
 	}
 	return cp, nil
 }
@@ -79,7 +98,8 @@ func (c *Checkpoint) Bind(meta map[string]string) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.meta == nil {
-		c.meta = meta
+		// A file already written without metadata is rewritten with it.
+		c.meta, c.fresh = meta, true
 		return nil
 	}
 	for k, v := range meta {
@@ -117,6 +137,10 @@ func (c *Checkpoint) Len() int {
 func (c *Checkpoint) Seeds() []int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.seedsLocked()
+}
+
+func (c *Checkpoint) seedsLocked() []int64 {
 	out := make([]int64, 0, len(c.done))
 	for s := range c.done {
 		out = append(out, s)
@@ -140,7 +164,7 @@ func (c *Checkpoint) Restore(seed int64, v any) (bool, error) {
 	return true, nil
 }
 
-// Save records a completed seed's outcome and persists the checkpoint.
+// Save records a completed seed's outcome and appends it to the file.
 func (c *Checkpoint) Save(seed int64, v any) error {
 	raw, err := json.Marshal(v)
 	if err != nil {
@@ -149,39 +173,35 @@ func (c *Checkpoint) Save(seed int64, v any) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.done[seed] = raw
-	return c.flushLocked()
-}
-
-// flushLocked atomically rewrites the checkpoint file.
-func (c *Checkpoint) flushLocked() error {
 	if c.path == "" {
 		return nil
 	}
-	file := checkpointFile{
-		Version: checkpointVersion,
-		Meta:    c.meta,
-		Done:    make(map[string]json.RawMessage, len(c.done)),
-	}
-	for seed, raw := range c.done {
-		file.Done[strconv.FormatInt(seed, 10)] = raw
-	}
-	data, err := json.MarshalIndent(&file, "", " ")
-	if err != nil {
+	if err := c.writeLocked(seed); err != nil {
+		c.fresh = true // the file may now lack records: rewrite it next time
 		return fmt.Errorf("harness: checkpoint: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(c.path), ".checkpoint-*")
-	if err != nil {
-		return fmt.Errorf("harness: checkpoint: %w", err)
-	}
-	_, werr := tmp.Write(append(data, '\n'))
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint write: %v, %v", werr, cerr)
-	}
-	if err := os.Rename(tmp.Name(), c.path); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("harness: checkpoint: %w", err)
-	}
+	c.fresh = false
 	return nil
+}
+
+// writeLocked appends seed's record to the file, or, while the checkpoint
+// is fresh, rewrites the file as the header plus every record. The file is
+// reopened per save, so a checkpoint holds no descriptor between seeds.
+func (c *Checkpoint) writeLocked(seed int64) error {
+	j, _, err := journal.Open(c.path, !c.fresh)
+	if err != nil {
+		return err
+	}
+	seeds := []int64{seed}
+	if c.fresh {
+		hdr, _ := json.Marshal(checkpointHeader{Version: checkpointVersion, Meta: c.meta}) // cannot fail
+		j.WriteHeader(append(hdr, '\n'))
+		seeds = c.seedsLocked()
+	}
+	for _, s := range seeds {
+		j.Append(func(int64) ([]byte, error) {
+			return fmt.Appendf(nil, `{"seed":%d,"outcome":%s}`, s, c.done[s]), nil
+		})
+	}
+	return j.Close()
 }

@@ -53,3 +53,34 @@ func TestAbsorbNilSafe(t *testing.T) {
 	r.Absorb(New().Snapshot())
 	New().Absorb(nil)
 }
+
+// TestAbsorbOccupancyCounters: the scheduler probe's occupancy counters
+// (total and per-worker busy, queue wait, sequencer stall) merge across
+// shard snapshots like any other counter — the merged registry reads as if
+// one process had observed both shards' scheduling.
+func TestAbsorbOccupancyCounters(t *testing.T) {
+	a, b := New(), New()
+	a.Counter(CounterSchedBusy).Add(1000)
+	a.Counter(CounterQueueWait).Add(50)
+	a.Counter(WorkerBusyCounter(0)).Add(600)
+	a.Counter(WorkerBusyCounter(1)).Add(400)
+	b.Counter(CounterSchedBusy).Add(2000)
+	b.Counter(CounterSeqStall).Add(75)
+	b.Counter(WorkerBusyCounter(0)).Add(2000)
+
+	merged := New()
+	merged.Absorb(a.Snapshot())
+	merged.Absorb(b.Snapshot())
+
+	for name, want := range map[string]int64{
+		CounterSchedBusy:     3000,
+		CounterQueueWait:     50,
+		CounterSeqStall:      75,
+		WorkerBusyCounter(0): 2600,
+		WorkerBusyCounter(1): 400,
+	} {
+		if got := merged.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}

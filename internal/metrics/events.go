@@ -1,17 +1,16 @@
 package metrics
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
-	"sync"
 	"time"
+
+	"dcelens/internal/journal"
 )
 
 // EventLog is a structured JSONL event stream: one JSON object per line,
-// with a monotonic sequence number assigned under the log's lock, so the
+// with a monotonic sequence number assigned under the journal's lock, so the
 // file totally orders the campaign's events even when workers emit
 // concurrently. Timestamps are milliseconds since the log was opened
 // (relative, so two logs of the same campaign differ only in timing fields,
@@ -21,36 +20,14 @@ import (
 // seed_end, unit_begin, unit_end, failure, checkpoint, campaign_end. A nil
 // *EventLog discards all emissions, so callers thread it unconditionally.
 type EventLog struct {
-	mu    sync.Mutex
-	w     io.Writer
-	c     io.Closer
+	j     *journal.Journal
 	start time.Time
-	seq   int64
-	err   error
-
-	// tail is the optional in-memory ring of recent events (KeepTail): the
-	// monitor's /events endpoint serves resumable reads from it without
-	// re-reading the backing file. tailHead indexes the oldest entry.
-	tail     []Event
-	tailLen  int
-	tailHead int
 }
 
-// Event is one rendered event line held in the in-memory tail: its sequence
-// number and the JSON text (no trailing newline).
-type Event struct {
-	Seq  int64
-	Line string
-}
-
-// NewEventLog writes events to w; if w is also an io.Closer, Close closes
-// it.
+// NewEventLog writes events to w; if w is also an io.Closer, closing the
+// journal closes it.
 func NewEventLog(w io.Writer) *EventLog {
-	l := &EventLog{w: w, start: time.Now()}
-	if c, ok := w.(io.Closer); ok {
-		l.c = c
-	}
-	return l
+	return &EventLog{j: journal.New(w), start: time.Now()}
 }
 
 // Emit appends one event. The line carries seq, t_ms, and event first in
@@ -60,171 +37,52 @@ func (l *EventLog) Emit(event string, fields map[string]any) {
 	if l == nil {
 		return
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.err != nil {
-		return
-	}
-	l.seq++
-	obj := make(map[string]any, len(fields)+3)
-	for k, v := range fields {
-		obj[k] = v
-	}
-	obj["seq"] = l.seq
-	obj["t_ms"] = time.Since(l.start).Milliseconds()
-	obj["event"] = event
-	b, err := json.Marshal(obj)
-	if err != nil {
-		l.err = fmt.Errorf("metrics: event %s: %w", event, err)
-		return
-	}
-	if len(l.tail) > 0 {
-		i := (l.tailHead + l.tailLen) % len(l.tail)
-		l.tail[i] = Event{Seq: l.seq, Line: string(b)}
-		if l.tailLen < len(l.tail) {
-			l.tailLen++
-		} else {
-			l.tailHead = (l.tailHead + 1) % len(l.tail)
+	l.j.Append(func(seq int64) ([]byte, error) {
+		obj := make(map[string]any, len(fields)+3)
+		for k, v := range fields {
+			obj[k] = v
 		}
-	}
-	_, l.err = l.w.Write(append(b, '\n'))
+		obj["seq"] = seq
+		obj["t_ms"] = time.Since(l.start).Milliseconds()
+		obj["event"] = event
+		b, err := json.Marshal(obj)
+		if err != nil {
+			return nil, fmt.Errorf("metrics: event %s: %w", event, err)
+		}
+		return b, nil
+	})
 }
 
-// KeepTail enables the in-memory event tail with capacity n (the newest n
-// events are retained); n <= 0 disables it. Call before emitting. Nil-safe.
-func (l *EventLog) KeepTail(n int) {
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if n <= 0 {
-		l.tail, l.tailLen, l.tailHead = nil, 0, 0
-		return
-	}
-	l.tail = make([]Event, n)
-	l.tailLen, l.tailHead = 0, 0
-}
-
-// TailSince returns the buffered events with sequence numbers strictly
-// greater than since, oldest first. Events older than the tail's capacity
-// are gone; callers detect the gap when the first returned seq exceeds
-// since+1. Nil-safe (and empty without KeepTail).
-func (l *EventLog) TailSince(since int64) []Event {
+// Journal is the log's journal: its tail (KeepTail, Since) and Close.
+// Nil for a nil log.
+func (l *EventLog) Journal() *journal.Journal {
 	if l == nil {
 		return nil
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Event
-	for i := 0; i < l.tailLen; i++ {
-		e := l.tail[(l.tailHead+i)%len(l.tail)]
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Seq returns the sequence number of the last emitted event (0 before the
-// first).
-func (l *EventLog) Seq() int64 {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
+	return l.j
 }
 
 // OpenEventLog opens a file-backed event log. With resume false the file is
 // truncated and sequence numbers start at 1, as NewEventLog(os.Create(...))
-// would. With resume true an existing file is appended to and the sequence
-// continues from its last record, so a resumed campaign's log reads as one
-// continuous, totally-ordered stream (t_ms stays relative to each process's
-// own start; seq is the cross-resume key). A missing file resumes from 0.
+// would. With resume true the file is cut back to its last complete record
+// and appended to, and the sequence continues from that record, so a
+// resumed campaign's log reads as one continuous, totally-ordered stream
+// (t_ms stays relative to each process's own start; seq is the cross-resume
+// key). A missing file resumes from 0.
 func OpenEventLog(path string, resume bool) (*EventLog, error) {
-	if !resume {
-		f, err := os.Create(path)
-		if err != nil {
-			return nil, err
-		}
-		return NewEventLog(f), nil
-	}
-	last, err := lastSeq(path)
+	j, last, err := journal.Open(path, resume)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	// A killed campaign can leave a torn final line with no newline; seal it
-	// so the first resumed event starts a fresh line instead of being glued
-	// to (and corrupted by) the torn fragment.
-	if st, err := f.Stat(); err == nil && st.Size() > 0 {
-		buf := make([]byte, 1)
-		if _, err := f.ReadAt(buf, st.Size()-1); err == nil && buf[0] != '\n' {
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, err
-			}
-		}
-	}
-	l := NewEventLog(f)
-	l.seq = last
-	return l, nil
-}
-
-// lastSeq scans a JSONL event file for the final record's sequence number;
-// a missing file is seq 0 (nothing to continue from). Malformed trailing
-// lines (a torn write from a killed campaign) are skipped backwards until a
-// parseable record is found.
-func lastSeq(path string) (int64, error) {
-	f, err := os.Open(path)
-	if os.IsNotExist(err) {
-		return 0, nil
-	}
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	var lines []string
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
-	for sc.Scan() {
-		if len(sc.Bytes()) > 0 {
-			lines = append(lines, sc.Text())
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return 0, fmt.Errorf("metrics: scanning event log %s: %w", path, err)
-	}
-	for i := len(lines) - 1; i >= 0; i-- {
+	if last != nil {
 		var rec struct {
 			Seq int64 `json:"seq"`
 		}
-		if json.Unmarshal([]byte(lines[i]), &rec) == nil && rec.Seq > 0 {
-			return rec.Seq, nil
+		if err := json.Unmarshal(last, &rec); err != nil {
+			j.Close()
+			return nil, fmt.Errorf("metrics: event log %s: last record: %w", path, err)
 		}
+		j.SetSeq(rec.Seq)
 	}
-	return 0, nil
-}
-
-// Close closes the underlying writer when it is closable and returns the
-// first write error the log swallowed, so campaigns can surface a broken
-// event stream at exit instead of silently truncating it. Nil-safe.
-func (l *EventLog) Close() error {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.c != nil {
-		if cerr := l.c.Close(); l.err == nil {
-			l.err = cerr
-		}
-		l.c = nil
-	}
-	return l.err
+	return &EventLog{j: j, start: time.Now()}, nil
 }

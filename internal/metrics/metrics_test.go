@@ -40,10 +40,10 @@ func TestNilSafety(t *testing.T) {
 	}
 	var l *EventLog
 	l.Emit("x", nil)
-	if l.Seq() != 0 {
+	if _, head := l.Journal().Since(0); head != 0 {
 		t.Error("nil event log advanced")
 	}
-	if err := l.Close(); err != nil {
+	if err := l.Journal().Close(); err != nil {
 		t.Errorf("nil event log Close: %v", err)
 	}
 }
@@ -167,11 +167,11 @@ func TestEventLogJSONLAndSeq(t *testing.T) {
 	l.Emit("campaign_begin", map[string]any{"programs": 3})
 	l.Emit("seed_begin", map[string]any{"seed": 1, "seq": 999}) // reserved key ignored
 	l.Emit("campaign_end", nil)
-	if err := l.Close(); err != nil {
+	if err := l.Journal().Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if l.Seq() != 3 {
-		t.Errorf("Seq = %d, want 3", l.Seq())
+	if _, head := l.Journal().Since(0); head != 3 {
+		t.Errorf("head seq = %d, want 3", head)
 	}
 	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
 	if len(lines) != 3 {
@@ -217,7 +217,7 @@ func TestEventLogSurfacesWriteError(t *testing.T) {
 	l.Emit("a", nil)
 	l.Emit("b", nil) // fails
 	l.Emit("c", nil) // dropped after the error
-	if err := l.Close(); err == nil {
+	if err := l.Journal().Close(); err == nil {
 		t.Fatal("Close returned nil after a write error")
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"encoding/json"
 	"io"
 	"math"
 	"os"
@@ -57,20 +58,20 @@ func TestRegistrySnapshotNil(t *testing.T) {
 
 func TestEventTailRing(t *testing.T) {
 	l := NewEventLog(io.Discard)
-	l.KeepTail(3)
+	l.Journal().KeepTail(3)
 	for i := 1; i <= 5; i++ {
 		l.Emit("seed_end", map[string]any{"seed": i})
 	}
 	// Capacity 3: seqs 1-2 were evicted.
-	tail := l.TailSince(0)
-	if len(tail) != 3 || tail[0].Seq != 3 || tail[2].Seq != 5 {
-		t.Fatalf("tail = %+v, want seqs 3..5", tail)
+	tail, head := l.Journal().Since(0)
+	if len(tail) != 3 || tail[0].Seq != 3 || tail[2].Seq != 5 || head != 5 {
+		t.Fatalf("tail = %+v at head %d, want seqs 3..5", tail, head)
 	}
-	if got := l.TailSince(4); len(got) != 1 || got[0].Seq != 5 {
-		t.Fatalf("TailSince(4) = %+v", got)
+	if got, _ := l.Journal().Since(4); len(got) != 1 || got[0].Seq != 5 {
+		t.Fatalf("Since(4) = %+v", got)
 	}
-	if got := l.TailSince(5); got != nil {
-		t.Fatalf("caught-up TailSince = %+v", got)
+	if got, _ := l.Journal().Since(5); got != nil {
+		t.Fatalf("caught-up Since = %+v", got)
 	}
 	for _, e := range tail {
 		if !strings.Contains(e.Line, `"event":"seed_end"`) {
@@ -82,19 +83,19 @@ func TestEventTailRing(t *testing.T) {
 func TestEventTailDisabled(t *testing.T) {
 	l := NewEventLog(io.Discard)
 	l.Emit("x", nil)
-	if got := l.TailSince(0); got != nil {
+	if got, _ := l.Journal().Since(0); got != nil {
 		t.Fatalf("tail without KeepTail = %+v", got)
 	}
-	l.KeepTail(2)
+	l.Journal().KeepTail(2)
 	l.Emit("y", nil)
-	l.KeepTail(0) // disable again
-	if got := l.TailSince(0); got != nil {
+	l.Journal().KeepTail(0) // disable again
+	if got, _ := l.Journal().Since(0); got != nil {
 		t.Fatalf("tail after disable = %+v", got)
 	}
 
 	var nilLog *EventLog
-	nilLog.KeepTail(4)
-	if got := nilLog.TailSince(0); got != nil {
+	nilLog.Journal().KeepTail(4)
+	if got, _ := nilLog.Journal().Since(0); got != nil {
 		t.Fatalf("nil log tail = %+v", got)
 	}
 }
@@ -113,7 +114,7 @@ func TestOpenEventLogResumeSeq(t *testing.T) {
 	l1.Emit("campaign_begin", nil)
 	l1.Emit("seed_end", map[string]any{"seed": 1})
 	l1.Emit("seed_end", map[string]any{"seed": 2})
-	if err := l1.Close(); err != nil {
+	if err := l1.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -121,11 +122,11 @@ func TestOpenEventLogResumeSeq(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if l2.Seq() != 3 {
-		t.Fatalf("resumed log starts at seq %d, want 3 (continuing the file)", l2.Seq())
+	if _, head := l2.Journal().Since(0); head != 3 {
+		t.Fatalf("resumed log starts at seq %d, want 3 (continuing the file)", head)
 	}
 	l2.Emit("seed_end", map[string]any{"seed": 3})
-	if err := l2.Close(); err != nil {
+	if err := l2.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -146,7 +147,8 @@ func TestOpenEventLogResumeSeq(t *testing.T) {
 }
 
 // TestOpenEventLogResumeTornLine: a torn trailing write (killed campaign)
-// must not break sequence recovery.
+// must not break sequence recovery, and the resumed file reads as one
+// gapless stream: the torn fragment is cut, not kept mid-file.
 func TestOpenEventLogResumeTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	content := `{"event":"seed_end","seq":1,"t_ms":0}` + "\n" +
@@ -159,9 +161,28 @@ func TestOpenEventLogResumeTornLine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
-	if l.Seq() != 2 {
-		t.Fatalf("seq after torn line = %d, want 2", l.Seq())
+	if _, head := l.Journal().Since(0); head != 2 {
+		t.Fatalf("seq after torn line = %d, want 2", head)
+	}
+	l.Emit("seed_end", nil)
+	if err := l.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	for i, line := range lines {
+		var rec struct {
+			Seq int64 `json:"seq"`
+		}
+		if err := json.Unmarshal([]byte(line), &rec); err != nil || rec.Seq != int64(i+1) {
+			t.Fatalf("resumed line %d = %q (err %v), want seq %d", i+1, line, err, i+1)
+		}
+	}
+	if len(lines) != 3 {
+		t.Fatalf("resumed file has %d lines, want 3:\n%s", len(lines), b)
 	}
 }
 
@@ -174,7 +195,7 @@ func TestOpenEventLogResumeMissingFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Emit("campaign_begin", nil)
-	if err := l.Close(); err != nil {
+	if err := l.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)
@@ -228,7 +249,7 @@ func TestOpenEventLogTruncates(t *testing.T) {
 		t.Fatal(err)
 	}
 	l.Emit("campaign_begin", nil)
-	if err := l.Close(); err != nil {
+	if err := l.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(path)

@@ -1,8 +1,8 @@
 // Package monitor is the live campaign monitoring server: a stdlib-only
 // net/http server embedded in a running campaign (dce-campaign -serve) that
 // exposes the telemetry the campaign is already collecting — the metrics
-// registry, the harness progress view, and the JSONL event log — over five
-// read-only endpoints:
+// registry, the harness progress view, and the tails of the event log, the
+// span timeline and the remark log — over seven read-only endpoints:
 //
 //	/healthz            liveness: tool name and uptime
 //	/metrics            Prometheus-style text exposition of the registry
@@ -13,10 +13,14 @@
 //	/timeline?since=N   resumable tail of the span timeline (JSONL, seq > N)
 //	/remarks?since=N    resumable tail of the remark log (JSONL, seq > N)
 //
+// The three tails, and the service's per-job /events and /timeline, share
+// one handler, ServeTail, over the sources' internal/journal tails.
+//
 // The server only reads; every source it serves is already safe for
-// concurrent use (atomic registry collectors, the progress mutex, the event
-// log's tail ring), so serving adds nothing to the campaign's hot path
-// beyond what a request itself costs (BenchmarkMonitorOverhead gates this).
+// concurrent use (atomic registry collectors, the progress mutex, the
+// journals' locked tails), so serving adds nothing to the campaign's hot
+// path beyond what a request itself costs (BenchmarkMonitorOverhead gates
+// this).
 package monitor
 
 import (
@@ -31,6 +35,7 @@ import (
 	"time"
 
 	"dcelens/internal/harness"
+	"dcelens/internal/journal"
 	"dcelens/internal/metrics"
 	"dcelens/internal/span"
 )
@@ -46,16 +51,15 @@ type Server struct {
 	// Progress is the live campaign view (/progress, /findings).
 	Progress *harness.Progress
 	// Events is the campaign event log; /events serves its in-memory tail
-	// (enable with Events.KeepTail before the campaign starts).
+	// (enable with Events.Journal().KeepTail before the campaign starts).
 	Events *metrics.EventLog
 	// Spans is the campaign span recorder; /timeline serves its in-memory
-	// tail (enable with Spans.KeepTail before the campaign starts). Set it
-	// after New — campaigns without a timeline leave it nil.
+	// tail (enable it the same way). Set it after New — campaigns without a
+	// timeline leave it nil.
 	Spans *span.Recorder
 	// Remarks is the campaign remark log (corpus.Options.RemarkLog);
-	// /remarks serves its in-memory tail (enable with Remarks.KeepTail
-	// before the campaign starts). Set it after New — campaigns without
-	// remarks leave it nil.
+	// /remarks serves its in-memory tail (enable it the same way). Set it
+	// after New — campaigns without remarks leave it nil.
 	Remarks *metrics.EventLog
 
 	start time.Time
@@ -74,9 +78,17 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/metrics", ReadOnly(s.handleMetrics))
 	mux.HandleFunc("/progress", ReadOnly(s.handleProgress))
 	mux.HandleFunc("/findings", ReadOnly(s.handleFindings))
-	mux.HandleFunc("/events", ReadOnly(s.handleEvents))
-	mux.HandleFunc("/timeline", ReadOnly(s.handleTimeline))
-	mux.HandleFunc("/remarks", ReadOnly(s.handleRemarks))
+	// The tails resolve their source per request: Spans and Remarks may
+	// be attached after New.
+	mux.HandleFunc("/events", ReadOnly(func(w http.ResponseWriter, r *http.Request) {
+		ServeTail(w, r, s.Events.Journal())
+	}))
+	mux.HandleFunc("/timeline", ReadOnly(func(w http.ResponseWriter, r *http.Request) {
+		ServeTail(w, r, s.Spans.Journal())
+	}))
+	mux.HandleFunc("/remarks", ReadOnly(func(w http.ResponseWriter, r *http.Request) {
+		ServeTail(w, r, s.Remarks.Journal())
+	}))
 	return mux
 }
 
@@ -102,12 +114,12 @@ func ReadOnly(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// WriteJSON writes v as an indented JSON response. Encoding happens into
-// memory first, so an unencodable value turns into a clean 500 (plus the
-// encode-error counter) instead of a silently truncated 200; failures
-// writing the already-committed body only increment the write-error
-// counter. The registry may be nil (counters are then dropped).
-func WriteJSON(w http.ResponseWriter, reg *metrics.Registry, v any) {
+// WriteJSON writes v as an indented JSON response with status code.
+// Encoding happens into memory first, so an unencodable value turns into a
+// clean 500 (plus the encode-error counter) instead of a silently truncated
+// response; failures writing the already-committed body only increment the
+// write-error counter. The registry may be nil (counters are then dropped).
+func WriteJSON(w http.ResponseWriter, reg *metrics.Registry, code int, v any) {
 	b, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		reg.Counter(CounterEncodeErrors).Inc()
@@ -115,6 +127,7 @@ func WriteJSON(w http.ResponseWriter, reg *metrics.Registry, v any) {
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
 	if _, err := w.Write(append(b, '\n')); err != nil {
 		reg.Counter(CounterWriteErrors).Inc()
 	}
@@ -130,7 +143,32 @@ func JSONError(w http.ResponseWriter, code int, msg string) {
 	w.Write(append(b, '\n'))
 }
 
-func (s *Server) writeJSON(w http.ResponseWriter, v any) { WriteJSON(w, s.Reg, v) }
+// ServeTail answers one ?since=N read of j's in-memory tail: JSONL of the
+// records with seq > since (default 0: everything buffered), oldest first,
+// and the head seq in X-Dcelens-Last-Seq even when nothing new matches.
+// Body and header come from one locked read, so no line is past its
+// header, and a client that passes the header back as since never reads a
+// line twice; a first seq above since+1 means the tail dropped the lines in
+// between. A nil journal serves an empty tail at seq 0.
+func ServeTail(w http.ResponseWriter, r *http.Request, j *journal.Journal) {
+	var since int64
+	if v := r.URL.Query().Get("since"); v != "" {
+		n, err := strconv.ParseInt(v, 10, 64)
+		if err != nil || n < 0 {
+			JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
+			return
+		}
+		since = n
+	}
+	entries, head := j.Since(since)
+	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(head, 10))
+	w.Header().Set("Content-Type", "application/x-ndjson")
+	for _, e := range entries {
+		fmt.Fprintln(w, e.Line)
+	}
+}
+
+func (s *Server) writeJSON(w http.ResponseWriter, v any) { WriteJSON(w, s.Reg, http.StatusOK, v) }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{
@@ -286,75 +324,6 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 		fs = []any{}
 	}
 	s.writeJSON(w, map[string]any{"count": len(fs), "findings": fs})
-}
-
-// handleEvents serves the event-log tail as JSONL. The since parameter is
-// the last sequence number the client has seen (default 0: everything
-// buffered); the response carries only events with seq > since, so a client
-// that remembers the last seq it read resumes without duplicates. The
-// current head seq is exposed in the X-Dcelens-Last-Seq header even when no
-// new events match.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(s.Events.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range s.Events.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
-	}
-}
-
-// handleTimeline serves the span recorder's tail as JSONL — the timeline
-// twin of /events, with the same resumable contract: since is the last span
-// sequence number the client has seen, the response carries only spans with
-// seq > since, and the current head seq rides the X-Dcelens-Last-Seq header
-// even when nothing new matches. Each line is one Chrome trace_event
-// object, so a client can accumulate lines into a Perfetto-loadable file.
-func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(s.Spans.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range s.Spans.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
-	}
-}
-
-// handleRemarks serves the remark log's tail as JSONL — the remarks twin of
-// /events, with the same resumable contract: since is the last remark
-// sequence number the client has seen, the response carries only events with
-// seq > since, and the current head seq rides the X-Dcelens-Last-Seq header
-// even when nothing new matches. Each line is one seed's remark summary
-// (per-pass applied/missed counts and miss reasons).
-func (s *Server) handleRemarks(w http.ResponseWriter, r *http.Request) {
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(s.Remarks.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range s.Remarks.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
-	}
 }
 
 // Exposition renders a registry snapshot in the Prometheus text format:

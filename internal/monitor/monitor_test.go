@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -167,7 +168,7 @@ func TestFindingsEndpoint(t *testing.T) {
 
 func TestEventsSinceFiltering(t *testing.T) {
 	log := metrics.NewEventLog(io.Discard)
-	log.KeepTail(16)
+	log.Journal().KeepTail(16)
 	for i := 0; i < 5; i++ {
 		log.Emit("seed_end", map[string]any{"seed": i})
 	}
@@ -203,6 +204,65 @@ func TestEventsSinceFiltering(t *testing.T) {
 	}
 }
 
+// TestTailHeaderBoundsBody: while two goroutines emit, a client that
+// resumes every poll from the previous response's X-Dcelens-Last-Seq never
+// reads a line past its response's header and never reads a line twice.
+// Reading the head and the body under separate locks broke both.
+func TestTailHeaderBoundsBody(t *testing.T) {
+	log := metrics.NewEventLog(io.Discard)
+	log.Journal().KeepTail(256)
+	h := New("dce-test", nil, nil, log).Handler()
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					log.Emit("failure", map[string]any{"seed": 1})
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		<-done
+		<-done
+	}()
+
+	var since, delivered int64
+	for poll := 0; poll < 3000; poll++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/events?since="+strconv.FormatInt(since, 10), nil))
+		head, err := strconv.ParseInt(rec.Header().Get("X-Dcelens-Last-Seq"), 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
+			if line == "" {
+				continue
+			}
+			var ev struct {
+				Seq int64 `json:"seq"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatal(err)
+			}
+			if ev.Seq > head {
+				t.Fatalf("poll %d: line seq %d past the header's %d", poll, ev.Seq, head)
+			}
+			if ev.Seq <= delivered {
+				t.Fatalf("poll %d: line seq %d delivered again (already read up to %d)", poll, ev.Seq, delivered)
+			}
+			delivered = ev.Seq
+		}
+		since = head
+	}
+}
+
 func TestEventsBadSince(t *testing.T) {
 	s := New("dce-test", nil, nil, nil)
 	for _, bad := range []string{"x", "-1", "1.5"} {
@@ -226,7 +286,7 @@ func TestEventsBadSince(t *testing.T) {
 // with 405 and an Allow header; GET keeps working.
 func TestReadOnlyMethods(t *testing.T) {
 	log := metrics.NewEventLog(io.Discard)
-	log.KeepTail(4)
+	log.Journal().KeepTail(4)
 	s := New("dce-test", metrics.New(), harness.NewProgress(1, 1, nil), log)
 	h := s.Handler()
 	for _, path := range []string{"/healthz", "/metrics", "/progress", "/findings", "/events"} {
@@ -252,7 +312,7 @@ func TestReadOnlyMethods(t *testing.T) {
 func TestWriteJSONEncodeError(t *testing.T) {
 	reg := metrics.New()
 	rec := httptest.NewRecorder()
-	WriteJSON(rec, reg, math.NaN()) // NaN has no JSON encoding
+	WriteJSON(rec, reg, http.StatusOK, math.NaN()) // NaN has no JSON encoding
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status = %d, want 500", rec.Code)
 	}
@@ -278,7 +338,7 @@ func (f *failingWriter) Write([]byte) (int, error) { return 0, io.ErrClosedPipe 
 // committed status, so it surfaces through the write-error counter.
 func TestWriteJSONWriteError(t *testing.T) {
 	reg := metrics.New()
-	WriteJSON(&failingWriter{header: http.Header{}}, reg, map[string]int{"a": 1})
+	WriteJSON(&failingWriter{header: http.Header{}}, reg, http.StatusOK, map[string]int{"a": 1})
 	if got := reg.Counter(CounterWriteErrors).Value(); got != 1 {
 		t.Fatalf("write-error counter = %d, want 1", got)
 	}
@@ -358,7 +418,7 @@ func TestPromName(t *testing.T) {
 
 func TestTimelineEndpoint(t *testing.T) {
 	rec := span.New(io.Discard)
-	rec.KeepTail(16)
+	rec.Journal().KeepTail(16)
 	for i := 0; i < 5; i++ {
 		rec.Emit(span.Span{Name: "gcc-sim -O2", Cat: span.CatUnit, TID: 1,
 			Start: time.Now(), Dur: time.Millisecond,
@@ -487,7 +547,7 @@ func TestDerivedGaugesSingleSnapshot(t *testing.T) {
 // no remark log is attached.
 func TestRemarksEndpoint(t *testing.T) {
 	rl := metrics.NewEventLog(io.Discard)
-	rl.KeepTail(16)
+	rl.Journal().KeepTail(16)
 	rl.Emit("remarks", map[string]any{"seed": int64(7), "applied": map[string]int{"dce": 3}})
 	rl.Emit("remarks", map[string]any{"seed": int64(8), "reasons": map[string]int{"alias-unknown": 2}})
 	s := New("dce-test", nil, nil, nil)

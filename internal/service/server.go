@@ -63,24 +63,6 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// writeJSON is monitor.WriteJSON with an explicit status code (202 for
-// submissions): encode first, then commit the status, so an encode
-// failure still turns into a clean 500.
-func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
-	reg := s.Engine.Metrics()
-	b, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		reg.Counter(monitor.CounterEncodeErrors).Inc()
-		http.Error(w, "encoding response: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if _, err := w.Write(append(b, '\n')); err != nil {
-		reg.Counter(monitor.CounterWriteErrors).Inc()
-	}
-}
-
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
 	dec := json.NewDecoder(r.Body)
@@ -102,7 +84,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		monitor.JSONError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	s.writeJSON(w, http.StatusAccepted, j.Status())
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusAccepted, j.Status())
 }
 
 func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
@@ -111,7 +93,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	for i, j := range jobs {
 		out[i] = j.Status()
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"count": len(out), "jobs": out})
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"count": len(out), "jobs": out})
 }
 
 // job resolves {id}, writing the 404 itself when absent.
@@ -127,7 +109,7 @@ func (s *Server) job(w http.ResponseWriter, r *http.Request) (*Job, bool) {
 
 func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 	if j, ok := s.job(w, r); ok {
-		s.writeJSON(w, http.StatusOK, j.Status())
+		monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, j.Status())
 	}
 }
 
@@ -137,55 +119,21 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	j, _ = s.Engine.Cancel(j.ID)
-	s.writeJSON(w, http.StatusOK, j.Status())
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, j.Status())
 }
 
-// handleEvents mirrors the monitor's /events contract per job: an ndjson
-// tail of events with seq > since, the head seq in X-Dcelens-Last-Seq.
+// handleEvents serves the job's event-log tail through the monitor's
+// shared ?since=N handler.
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			monitor.JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	log := j.Events()
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(log.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range log.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
+	if j, ok := s.job(w, r); ok {
+		monitor.ServeTail(w, r, j.Events().Journal())
 	}
 }
 
-// handleTimeline mirrors the monitor's /timeline contract per job: an
-// ndjson tail of trace_event lines with seq > since, the head seq in
-// X-Dcelens-Last-Seq.
+// handleTimeline serves the job's span-timeline tail the same way.
 func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
-	}
-	var since int64
-	if v := r.URL.Query().Get("since"); v != "" {
-		n, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || n < 0 {
-			monitor.JSONError(w, http.StatusBadRequest, fmt.Sprintf("since=%q: must be a non-negative integer", v))
-			return
-		}
-		since = n
-	}
-	rec := j.Spans()
-	w.Header().Set("X-Dcelens-Last-Seq", strconv.FormatInt(rec.Seq(), 10))
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	for _, e := range rec.TailSince(since) {
-		fmt.Fprintln(w, e.Line)
+	if j, ok := s.job(w, r); ok {
+		monitor.ServeTail(w, r, j.Spans().Journal())
 	}
 }
 
@@ -197,7 +145,7 @@ func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	s.writeJSON(w, http.StatusOK, monitor.NewProgressReply(j.Progress(), j.Registry()))
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, monitor.NewProgressReply(j.Progress(), j.Registry()))
 }
 
 func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
@@ -209,7 +157,7 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 	if fs == nil {
 		fs = []any{}
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"count": len(fs), "findings": fs})
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"count": len(fs), "findings": fs})
 }
 
 func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
@@ -245,10 +193,10 @@ func (s *Server) handleRemarks(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if sum == nil {
-		s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "remarks": false})
+		monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"id": j.ID, "remarks": false})
 		return
 	}
-	s.writeJSON(w, http.StatusOK, map[string]any{"id": j.ID, "remarks": true, "summary": sum})
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, map[string]any{"id": j.ID, "remarks": true, "summary": sum})
 }
 
 // HealthReply is the /healthz body: admission health plus the queue and
@@ -272,7 +220,7 @@ type HealthReply struct {
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	reg := s.Engine.Metrics()
 	depth, capacity := s.Engine.QueueDepth()
-	s.writeJSON(w, http.StatusOK, HealthReply{
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, HealthReply{
 		Status:     s.Engine.Health(),
 		Tool:       s.Engine.Tool,
 		UptimeMs:   time.Since(s.start).Milliseconds(),
@@ -290,7 +238,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := s.Engine.Metrics().Snapshot()
 	if r.URL.Query().Get("format") == "json" {
-		s.writeJSON(w, http.StatusOK, snap)
+		monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, snap)
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

@@ -43,6 +43,7 @@ import (
 	"dcelens/internal/corpus"
 	"dcelens/internal/harness"
 	"dcelens/internal/history"
+	"dcelens/internal/journal"
 	"dcelens/internal/metrics"
 	"dcelens/internal/pipeline"
 	"dcelens/internal/report"
@@ -177,9 +178,6 @@ type Limits struct {
 	// HistoryDir, when set, receives a fingerprinted history snapshot for
 	// every job that reaches StateDone, so dce-trend diffs across jobs.
 	HistoryDir string
-	// EventTail is the per-job event-log ring size (default 4096). The
-	// per-job span-timeline ring is sized the same.
-	EventTail int
 }
 
 func (l *Limits) fill() {
@@ -200,9 +198,6 @@ func (l *Limits) fill() {
 	}
 	if l.Backoff <= 0 {
 		l.Backoff = 100 * time.Millisecond
-	}
-	if l.EventTail <= 0 {
-		l.EventTail = 4096
 	}
 }
 
@@ -545,14 +540,14 @@ type Job struct {
 func newJob(id string, spec Spec, l *Limits) *Job {
 	j := &Job{ID: id, Spec: spec, state: StateQueued}
 	j.events = metrics.NewEventLog(io.Discard)
-	j.events.KeepTail(l.EventTail)
+	j.events.Journal().KeepTail(journal.TailSize)
 	// The timeline recorder is wall-mode (real timings are the point of
 	// /jobs/{id}/timeline) and write-discarded: only the tail ring matters.
 	// The job's campaign registry stays deterministic regardless — the
 	// scheduler probe keeps wall-clock occupancy out of deterministic
 	// registries on its own.
 	j.spans = span.New(io.Discard)
-	j.spans.KeepTail(l.EventTail)
+	j.spans.Journal().KeepTail(journal.TailSize)
 	j.checkpath = spec.Checkpoint
 	if j.checkpath == "" && l.WorkDir != "" {
 		j.checkpath = filepath.Join(l.WorkDir, id+".checkpoint.json")

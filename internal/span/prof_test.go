@@ -31,7 +31,7 @@ func skewedTrace(t *testing.T) *Trace {
 	r.Emit(Span{Name: "queue-wait", Cat: CatSched, TID: 2, Start: at(190), Dur: ms(10)})
 	r.Emit(Span{Name: "seq-stall", Cat: CatSched, TID: 0, Start: at(300), Dur: ms(9200),
 		Args: []Arg{Int("slot", 5)}})
-	if err := r.Close(); err != nil {
+	if err := r.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := Parse(buf.Bytes())

@@ -23,19 +23,19 @@
 //     the corpus layer flushes logical spans through the sequencer in slot
 //     order, a deterministic trace is byte-identical across -j values and
 //     across halt/resume.
-//   - Concurrent-safe: sequence numbers and writes happen under one lock,
-//     exactly like the event log, and the optional in-memory tail ring
-//     serves the monitor's resumable /timeline endpoint.
+//   - Concurrent-safe: spans are appended through an internal/journal
+//     Journal, like the event log: sequence numbers and writes happen
+//     under its lock, and its optional tail serves the monitor's resumable
+//     /timeline endpoint.
 package span
 
 import (
 	"fmt"
 	"io"
-	"os"
 	"strconv"
-	"strings"
-	"sync"
 	"time"
+
+	"dcelens/internal/journal"
 )
 
 // Span categories. Deterministic recorders keep only the logical
@@ -91,91 +91,67 @@ type Span struct {
 	Args  []Arg
 }
 
-// Entry is one rendered span held in the in-memory tail: its sequence
-// number and the trace_event JSON object (no trailing comma or newline).
-type Entry struct {
-	Seq  int64
-	Line string
-}
-
 // Recorder serializes spans into a Chrome trace_event stream. All methods
 // are nil-safe.
 type Recorder struct {
-	mu            sync.Mutex
-	w             io.Writer
-	c             io.Closer
+	j             *journal.Journal
 	deterministic bool
 	start         time.Time
-	seq           int64
-	err           error
-
-	// tail is the optional ring of recent spans (KeepTail) behind the
-	// monitor's resumable /timeline endpoint. tailHead indexes the oldest.
-	tail     []Entry
-	tailLen  int
-	tailHead int
 }
 
 // New returns a wall-clock recorder writing to w; if w is also an
-// io.Closer, Close closes it. The stream header (array opener plus a
-// metadata record naming the mode) is written immediately.
-func New(w io.Writer) *Recorder { return newRecorder(w, false, true) }
+// io.Closer, closing the journal closes it. The stream header (array
+// opener plus a metadata record naming the mode) is written immediately.
+func New(w io.Writer) *Recorder { return newRecorder(journal.New(w), false, nil) }
 
 // NewDeterministic returns a recorder in deterministic mode: scheduler and
 // job spans are dropped and all wall-clock fields render as zero, so the
 // resulting trace is byte-identical across worker counts and resumes.
-func NewDeterministic(w io.Writer) *Recorder { return newRecorder(w, true, true) }
+func NewDeterministic(w io.Writer) *Recorder { return newRecorder(journal.New(w), true, nil) }
 
-func newRecorder(w io.Writer, deterministic, header bool) *Recorder {
-	r := &Recorder{w: w, deterministic: deterministic, start: time.Now()}
-	if c, ok := w.(io.Closer); ok {
-		r.c = c
+// newRecorder records into j, first writing the part of the stream header
+// its file lacks: all of it when last (the file's last complete line) is
+// nil, the metadata record when a kill fell between the header's two
+// lines.
+func newRecorder(j *journal.Journal, deterministic bool, last []byte) *Recorder {
+	j.Suffix = ","
+	mode := "wall"
+	if deterministic {
+		mode = "deterministic"
 	}
-	if header && w != nil {
-		mode := "wall"
-		if deterministic {
-			mode = "deterministic"
-		}
-		_, r.err = io.WriteString(w, "[\n"+
-			`{"name":"process_name","cat":"__metadata","ph":"M","pid":1,"tid":0,"args":{"name":"dcelens","mode":"`+mode+`"}},`+"\n")
+	header := "[\n" +
+		`{"name":"process_name","cat":"__metadata","ph":"M","pid":1,"tid":0,"args":{"name":"dcelens","mode":"` + mode + `"}},` + "\n"
+	switch {
+	case last == nil:
+		j.WriteHeader([]byte(header))
+	case string(last) == "[":
+		j.WriteHeader([]byte(header[2:]))
 	}
-	return r
+	return &Recorder{j: j, deterministic: deterministic, start: time.Now()}
 }
 
 // Open opens a file-backed recorder. With resume false the file is
-// truncated and a fresh header written; with resume true an existing
-// non-empty file is appended to with no new header, so a halted campaign's
-// trace plus its resumed continuation reads as one stream (and, in
-// deterministic mode, is byte-identical to an uninterrupted run's —
-// restored seeds emit no spans). A missing or empty file gets the header.
+// truncated and a fresh header written; with resume true the file is cut
+// back to its last complete line and appended to with no new header, so a
+// halted campaign's trace plus its resumed continuation reads as one
+// stream (and, in deterministic mode, is byte-identical to an
+// uninterrupted run's — restored seeds emit no spans). A missing or empty
+// file gets the header.
 func Open(path string, resume, deterministic bool) (*Recorder, error) {
-	flags := os.O_CREATE | os.O_RDWR
-	if resume {
-		flags |= os.O_APPEND
-	} else {
-		flags |= os.O_TRUNC
-	}
-	f, err := os.OpenFile(path, flags, 0o644)
+	j, last, err := journal.Open(path, resume)
 	if err != nil {
 		return nil, err
 	}
-	header := true
-	if resume {
-		if st, err := f.Stat(); err == nil && st.Size() > 0 {
-			header = false
-			// A killed campaign can leave a torn final line with no
-			// newline; seal it so the first resumed span starts a fresh
-			// line instead of corrupting the torn fragment's parse.
-			buf := make([]byte, 1)
-			if _, err := f.ReadAt(buf, st.Size()-1); err == nil && buf[0] != '\n' {
-				if _, err := f.Write([]byte(",\n")); err != nil {
-					f.Close()
-					return nil, err
-				}
-			}
-		}
+	return newRecorder(j, deterministic, last), nil
+}
+
+// Journal is the recorder's journal: its tail (KeepTail, Since) and Close.
+// Nil for a nil recorder.
+func (r *Recorder) Journal() *journal.Journal {
+	if r == nil {
+		return nil
 	}
-	return newRecorder(f, deterministic, header), nil
+	return r.j
 }
 
 // Deterministic reports whether the recorder redacts wall-clock fields.
@@ -184,40 +160,22 @@ func (r *Recorder) Deterministic() bool { return r != nil && r.deterministic }
 // Emit records one span. Deterministic recorders silently drop categories
 // whose timing depends on scheduling (CatJob, CatSched). Nil-safe.
 func (r *Recorder) Emit(sp Span) {
-	if r == nil {
+	if r == nil || r.deterministic && !deterministicCat(sp.Cat) {
 		return
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.deterministic && !deterministicCat(sp.Cat) {
-		return
-	}
-	r.seq++
 	line := r.render(sp)
-	if len(r.tail) > 0 {
-		i := (r.tailHead + r.tailLen) % len(r.tail)
-		r.tail[i] = Entry{Seq: r.seq, Line: line}
-		if r.tailLen < len(r.tail) {
-			r.tailLen++
-		} else {
-			r.tailHead = (r.tailHead + 1) % len(r.tail)
-		}
-	}
-	if r.w != nil && r.err == nil {
-		_, r.err = io.WriteString(r.w, line+",\n")
-	}
+	r.j.Append(func(int64) ([]byte, error) { return line, nil })
 }
 
 // render serializes one span as a trace_event complete event. Field order is
 // fixed so identical spans render identically byte for byte.
-func (r *Recorder) render(sp Span) string {
-	var b strings.Builder
-	b.Grow(96 + 24*len(sp.Args))
-	b.WriteString(`{"name":`)
-	quoteJSON(&b, sp.Name)
-	b.WriteString(`,"cat":`)
-	quoteJSON(&b, sp.Cat)
-	b.WriteString(`,"ph":"X","ts":`)
+func (r *Recorder) render(sp Span) []byte {
+	b := make([]byte, 0, 128+24*len(sp.Args))
+	b = append(b, `{"name":`...)
+	b = appendQuoted(b, sp.Name)
+	b = append(b, `,"cat":`...)
+	b = appendQuoted(b, sp.Cat)
+	b = append(b, `,"ph":"X","ts":`...)
 	var ts, dur int64
 	tid := sp.TID
 	if !r.deterministic {
@@ -226,106 +184,40 @@ func (r *Recorder) render(sp Span) string {
 	} else {
 		tid = 0
 	}
-	b.WriteString(strconv.FormatInt(ts, 10))
-	b.WriteString(`,"dur":`)
-	b.WriteString(strconv.FormatInt(dur, 10))
-	b.WriteString(`,"pid":1,"tid":`)
-	b.WriteString(strconv.Itoa(tid))
+	b = strconv.AppendInt(b, ts, 10)
+	b = append(b, `,"dur":`...)
+	b = strconv.AppendInt(b, dur, 10)
+	b = append(b, `,"pid":1,"tid":`...)
+	b = strconv.AppendInt(b, int64(tid), 10)
 	if len(sp.Args) > 0 {
-		b.WriteString(`,"args":{`)
+		b = append(b, `,"args":{`...)
 		for i, a := range sp.Args {
 			if i > 0 {
-				b.WriteByte(',')
+				b = append(b, ',')
 			}
-			quoteJSON(&b, a.Key)
-			b.WriteByte(':')
-			quoteJSON(&b, a.Val)
+			b = appendQuoted(b, a.Key)
+			b = append(b, ':')
+			b = appendQuoted(b, a.Val)
 		}
-		b.WriteByte('}')
+		b = append(b, '}')
 	}
-	b.WriteByte('}')
-	return b.String()
+	return append(b, '}')
 }
 
-// quoteJSON writes s as a JSON string. The span vocabulary is plain ASCII
-// (pass names, config strings, decimal numbers); anything unusual is still
-// escaped correctly.
-func quoteJSON(b *strings.Builder, s string) {
-	b.WriteByte('"')
+// appendQuoted appends s as a JSON string. The span vocabulary is plain
+// ASCII (pass names, config strings, decimal numbers); anything unusual is
+// still escaped correctly.
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '"')
 	for i := 0; i < len(s); i++ {
 		switch c := s[i]; {
 		case c == '"' || c == '\\':
-			b.WriteByte('\\')
-			b.WriteByte(c)
+			b = append(b, '\\', c)
 		case c < 0x20:
-			fmt.Fprintf(b, `\u%04x`, c)
+			b = fmt.Appendf(b, `\u%04x`, c)
 		default:
-			b.WriteByte(c)
+			b = append(b, c)
 		}
 	}
-	b.WriteByte('"')
-}
-
-// KeepTail enables the in-memory span tail with capacity n (the newest n
-// spans are retained); n <= 0 disables it. Call before emitting. Nil-safe.
-func (r *Recorder) KeepTail(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if n <= 0 {
-		r.tail, r.tailLen, r.tailHead = nil, 0, 0
-		return
-	}
-	r.tail = make([]Entry, n)
-	r.tailLen, r.tailHead = 0, 0
-}
-
-// TailSince returns the buffered spans with sequence numbers strictly
-// greater than since, oldest first. Spans older than the tail's capacity
-// are gone; callers detect the gap when the first returned seq exceeds
-// since+1. Nil-safe (and empty without KeepTail).
-func (r *Recorder) TailSince(since int64) []Entry {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []Entry
-	for i := 0; i < r.tailLen; i++ {
-		e := r.tail[(r.tailHead+i)%len(r.tail)]
-		if e.Seq > since {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Seq returns the sequence number of the last recorded span (0 before the
-// first). Nil-safe.
-func (r *Recorder) Seq() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.seq
-}
-
-// Close closes the underlying writer when it is closable and returns the
-// first write error the recorder swallowed. Nil-safe.
-func (r *Recorder) Close() error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.c != nil {
-		if cerr := r.c.Close(); r.err == nil {
-			r.err = cerr
-		}
-		r.c = nil
-	}
-	return r.err
+	return append(b, '"')
 }

@@ -14,7 +14,7 @@ func TestRecorderHeaderAndLines(t *testing.T) {
 	r := New(&buf)
 	r.Emit(Span{Name: "unit", Cat: CatUnit, TID: 3, Start: time.Now(), Dur: time.Millisecond,
 		Args: []Arg{Int64("seed", 7), Bool("ok", true)}})
-	if err := r.Close(); err != nil {
+	if err := r.Journal().Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	out := buf.String()
@@ -49,8 +49,8 @@ func TestDeterministicRedaction(t *testing.T) {
 	r.Emit(Span{Name: "campaign", Cat: CatJob, TID: 0, Start: time.Now(), Dur: time.Second})
 	r.Emit(Span{Name: "gcc-sim -O2", Cat: CatUnit, TID: 5, Start: time.Now(), Dur: time.Second,
 		Args: []Arg{Int64("seed", 1)}})
-	if got := r.Seq(); got != 1 {
-		t.Fatalf("sched and job spans must be dropped: seq = %d, want 1", got)
+	if _, head := r.Journal().Since(0); head != 1 {
+		t.Fatalf("sched and job spans must be dropped: seq = %d, want 1", head)
 	}
 	out := buf.String()
 	if !strings.Contains(out, `"mode":"deterministic"`) {
@@ -79,30 +79,33 @@ func TestRenderEscaping(t *testing.T) {
 
 func TestTailRing(t *testing.T) {
 	r := New(nil)
-	r.KeepTail(3)
+	r.Journal().KeepTail(3)
 	for i := 0; i < 5; i++ {
 		r.Emit(Span{Name: "p", Cat: CatPhase})
 	}
-	got := r.TailSince(0)
-	if len(got) != 3 || got[0].Seq != 3 || got[2].Seq != 5 {
-		t.Fatalf("tail = %+v, want seqs 3..5", got)
+	got, head := r.Journal().Since(0)
+	if len(got) != 3 || got[0].Seq != 3 || got[2].Seq != 5 || head != 5 {
+		t.Fatalf("tail = %+v at head %d, want seqs 3..5", got, head)
 	}
-	if got := r.TailSince(4); len(got) != 1 || got[0].Seq != 5 {
-		t.Fatalf("TailSince(4) = %+v, want just seq 5", got)
+	if strings.HasSuffix(got[0].Line, ",") {
+		t.Fatalf("tail line %q keeps the file's trailing comma", got[0].Line)
 	}
-	if got := r.TailSince(5); len(got) != 0 {
-		t.Fatalf("TailSince(5) = %+v, want empty", got)
+	if got, _ := r.Journal().Since(4); len(got) != 1 || got[0].Seq != 5 {
+		t.Fatalf("Since(4) = %+v, want just seq 5", got)
+	}
+	if got, _ := r.Journal().Since(5); len(got) != 0 {
+		t.Fatalf("Since(5) = %+v, want empty", got)
 	}
 }
 
 func TestNilRecorder(t *testing.T) {
 	var r *Recorder
 	r.Emit(Span{Name: "x", Cat: CatUnit})
-	r.KeepTail(4)
-	if r.Seq() != 0 || r.TailSince(0) != nil || r.Deterministic() {
+	r.Journal().KeepTail(4)
+	if tail, head := r.Journal().Since(0); head != 0 || tail != nil || r.Deterministic() {
 		t.Fatal("nil recorder must be inert")
 	}
-	if err := r.Close(); err != nil {
+	if err := r.Journal().Close(); err != nil {
 		t.Fatalf("nil Close: %v", err)
 	}
 }
@@ -114,7 +117,7 @@ func TestOpenResumeAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	r1.Emit(Span{Name: "a", Cat: CatUnit})
-	if err := r1.Close(); err != nil {
+	if err := r1.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	first, _ := os.ReadFile(path)
@@ -124,7 +127,7 @@ func TestOpenResumeAppends(t *testing.T) {
 		t.Fatal(err)
 	}
 	r2.Emit(Span{Name: "b", Cat: CatUnit})
-	if err := r2.Close(); err != nil {
+	if err := r2.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	both, _ := os.ReadFile(path)
@@ -148,12 +151,54 @@ func TestOpenResumeAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r3.Close(); err != nil {
+	if err := r3.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	b, _ := os.ReadFile(fresh)
 	if !bytes.Contains(b, []byte("__metadata")) {
 		t.Fatalf("resume of an empty file must write the header:\n%s", b)
+	}
+}
+
+// TestOpenResumeTornTail: a trace killed mid-write and then resumed stays
+// parseable. The torn span is cut, not sealed into the file as a line of
+// its own, and the resumed span follows the earlier complete ones.
+func TestOpenResumeTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "trace.json")
+	r, err := Open(path, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Emit(Span{Name: "a", Cat: CatUnit})
+	r.Emit(Span{Name: "b", Cat: CatUnit})
+	if err := r.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.WriteString(`{"name":"c","cat":"unit","ph":"X","ts":`) // killed here
+	f.Close()
+
+	r, err = Open(path, true, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Emit(Span{Name: "d", Cat: CatUnit})
+	if err := r.Journal().Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := ParseFile(path)
+	if err != nil {
+		t.Fatalf("ParseFile after a torn resume: %v", err)
+	}
+	var names []string
+	for _, e := range tr.Events {
+		names = append(names, e.Name)
+	}
+	if strings.Join(names, ",") != "a,b,d" {
+		t.Fatalf("resumed trace spans = %v, want a,b,d", names)
 	}
 }
 
@@ -173,7 +218,7 @@ func TestParseAcceptsClosedArray(t *testing.T) {
 func TestCloseReturnsWriteError(t *testing.T) {
 	r := New(failWriter{})
 	r.Emit(Span{Name: "u", Cat: CatUnit})
-	if err := r.Close(); err == nil {
+	if err := r.Journal().Close(); err == nil {
 		t.Fatal("Close must surface the swallowed write error")
 	}
 }

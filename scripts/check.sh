@@ -32,11 +32,18 @@ go test ./...
 # The campaign layer is the only concurrent code: re-run the scheduler,
 # harness, and corpus suites under the race detector (the metrics registry
 # and event log are exercised by the corpus suite's resume test), plus the
-# monitoring server, run-history, and service-mode job-engine layers that
-# read campaign state while it mutates.
+# journal under every log and its tails, and the monitoring server,
+# run-history, and service-mode job-engine layers that read campaign state
+# while it mutates.
 go test -race ./internal/sched ./internal/harness ./internal/corpus \
-    ./internal/metrics ./internal/monitor ./internal/history \
+    ./internal/journal ./internal/metrics ./internal/monitor ./internal/history \
     ./internal/service ./internal/span ./internal/remark
+
+# Fuzz the decoders of the files a resume reopens: any journal file must
+# resume to its complete lines plus the appended record, and any checkpoint
+# file must either fail to load or survive a save and a reload.
+go test -run '^$' -fuzz '^FuzzJournalResume$' -fuzztime 5s ./internal/journal
+go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 5s ./internal/harness
 
 # Service smoke gate: build dce-serve and drive it with the load-test
 # client — concurrent submissions against a tiny queue must produce 429s

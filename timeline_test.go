@@ -24,7 +24,7 @@ func runTraced(t *testing.T, path string, resume bool, o CampaignOptions) string
 	if _, err := RunCampaign(o); err != nil {
 		t.Fatal(err)
 	}
-	if err := rec.Close(); err != nil {
+	if err := rec.Journal().Close(); err != nil {
 		t.Fatal(err)
 	}
 	b, err := os.ReadFile(path)
