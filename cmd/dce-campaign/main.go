@@ -70,7 +70,7 @@ func main() {
 	tracePath := flag.String("trace", "", "write a span timeline (Chrome trace_event JSON; Perfetto/dce-prof) to this file")
 	verify := flag.Bool("verify", false, "execute every compiled module against ground truth (miscompile detection; slower)")
 	budget := flag.Int("budget", 0, "per-compilation pass-step budget (0: harness default)")
-	checkpoint := flag.String("checkpoint", "", "checkpoint file: a header line, then one JSON line appended per completed seed (a kill costs at most the seed being written)")
+	checkpoint := flag.String("checkpoint", "", "checkpoint file: one JSON line appended per completed seed; resumable after a kill at any byte")
 	resume := flag.Bool("resume", false, "skip seeds already completed in -checkpoint")
 	inject := flag.String("inject", "", "fault-injection spec: kind:pass:seed[:config],... (kind: panic, stall, corrupt)")
 	haltAfter := flag.Int("halt-after", 0, "stop after this many seeds (testing aid: simulates a killed campaign; requires -checkpoint)")

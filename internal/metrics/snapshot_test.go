@@ -148,7 +148,7 @@ func TestOpenEventLogResumeSeq(t *testing.T) {
 
 // TestOpenEventLogResumeTornLine: a torn trailing write (killed campaign)
 // must not break sequence recovery, and the resumed file reads as one
-// gapless stream: the torn fragment is cut, not kept mid-file.
+// gapless stream: the torn fragment is cut.
 func TestOpenEventLogResumeTornLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	content := `{"event":"seed_end","seq":1,"t_ms":0}` + "\n" +

@@ -161,8 +161,8 @@ func TestOpenResumeAppends(t *testing.T) {
 }
 
 // TestOpenResumeTornTail: a trace killed mid-write and then resumed stays
-// parseable. The torn span is cut, not sealed into the file as a line of
-// its own, and the resumed span follows the earlier complete ones.
+// parseable: the torn span is cut, and the resumed span follows the
+// earlier complete ones.
 func TestOpenResumeTornTail(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
 	r, err := Open(path, false, false)
