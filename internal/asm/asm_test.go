@@ -4,12 +4,13 @@ import (
 	"strings"
 	"testing"
 
+	"dcelens/internal/ir"
 	"dcelens/internal/lower"
 	"dcelens/internal/parser"
 	"dcelens/internal/sema"
 )
 
-func emit(t *testing.T, src string) string {
+func lowerSource(t *testing.T, src string) *ir.Module {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
@@ -22,7 +23,12 @@ func emit(t *testing.T, src string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return Emit(m)
+	return m
+}
+
+func emit(t *testing.T, src string) string {
+	t.Helper()
+	return Emit(lowerSource(t, src))
 }
 
 func TestEmitStructure(t *testing.T) {
