@@ -12,162 +12,244 @@
 package asm
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"dcelens/internal/ir"
 	"dcelens/internal/token"
 )
 
-// Emit renders the module as pseudo-assembly.
+// Emit renders the module as pseudo-assembly. It runs once per compile
+// unit, so the listing is appended into one byte slice, sized up front from
+// the instruction and global counts, with numbers formatted by strconv.
 func Emit(m *ir.Module) string {
-	var sb strings.Builder
-	sb.WriteString("\t.text\n")
+	n := 16
 	for _, f := range m.Funcs {
-		if f.External {
-			continue
+		for _, b := range f.Blocks {
+			n += 24 + 24*len(b.Instrs)
 		}
-		emitFunc(&sb, f)
+	}
+	for _, g := range m.Globals {
+		n += 16 + 12*g.Len
+	}
+	out := make([]byte, 0, n)
+	out = append(out, "\t.text\n"...)
+	for _, f := range m.Funcs {
+		if !f.External {
+			out = appendFunc(out, f)
+		}
 	}
 	if len(m.Globals) > 0 {
-		sb.WriteString("\t.data\n")
+		out = append(out, "\t.data\n"...)
 		for _, g := range m.Globals {
-			emitGlobal(&sb, g)
+			out = appendGlobal(out, g)
 		}
 	}
-	return sb.String()
+	return string(out)
 }
 
-func emitGlobal(sb *strings.Builder, g *ir.Global) {
+func appendGlobal(out []byte, g *ir.Global) []byte {
 	if !g.Internal {
-		fmt.Fprintf(sb, "\t.globl %s\n", g.Name)
+		out = append(append(append(out, "\t.globl "...), g.Name...), '\n')
 	}
-	fmt.Fprintf(sb, "%s:\n", mangle(g.Name))
-	size := g.Elem.Size()
-	directive := map[int]string{1: ".byte", 2: ".short", 4: ".long", 8: ".quad"}[size]
+	out = append(append(out, g.Name...), ":\n"...)
+	directive := dataDirective(g.Elem.Size())
 	for i := 0; i < g.Len; i++ {
 		var c ir.Const
 		if i < len(g.Init) {
 			c = g.Init[i]
 		}
-		if c.IsAddr {
-			if c.Global == nil {
-				fmt.Fprintf(sb, "\t.quad 0\n")
-			} else if c.Off != 0 {
-				fmt.Fprintf(sb, "\t.quad %s+%d\n", mangle(c.Global.Name), c.Off*int64(c.Global.Elem.Size()))
-			} else {
-				fmt.Fprintf(sb, "\t.quad %s\n", mangle(c.Global.Name))
+		switch {
+		case !c.IsAddr:
+			out = append(append(append(out, '\t'), directive...), ' ')
+			out = strconv.AppendInt(out, c.Int, 10)
+		case c.Global == nil:
+			out = append(out, "\t.quad 0"...)
+		default:
+			out = append(append(out, "\t.quad "...), c.Global.Name...)
+			if c.Off != 0 {
+				out = strconv.AppendInt(append(out, '+'), c.Off*int64(c.Global.Elem.Size()), 10)
 			}
-		} else {
-			fmt.Fprintf(sb, "\t%s %d\n", directive, c.Int)
 		}
+		out = append(out, '\n')
 	}
+	return out
 }
 
-// mangle keeps symbol names assembler-friendly (hoisted statics contain
-// dots already, which is fine for local symbols; spaces are not possible).
-func mangle(name string) string { return name }
-
-func emitFunc(sb *strings.Builder, f *ir.Func) {
-	if !f.Internal {
-		fmt.Fprintf(sb, "\t.globl %s\n", f.Name)
+// dataDirective names the data directive of an element size.
+func dataDirective(size int) string {
+	switch size {
+	case 1:
+		return ".byte"
+	case 2:
+		return ".short"
+	case 4:
+		return ".long"
+	case 8:
+		return ".quad"
 	}
-	fmt.Fprintf(sb, "%s:\n", f.Name)
+	return ""
+}
+
+func appendFunc(out []byte, f *ir.Func) []byte {
+	if !f.Internal {
+		out = append(append(append(out, "\t.globl "...), f.Name...), '\n')
+	}
+	out = append(append(out, f.Name...), ":\n"...)
 
 	// Deterministic code layout: reverse postorder of reachable blocks.
 	blocks := f.ReversePostorder()
-	emitted := map[*ir.Block]bool{}
-	label := func(b *ir.Block) string { return fmt.Sprintf(".L%s_%d", f.Name, b.ID) }
-
 	for idx, b := range blocks {
-		emitted[b] = true
-		fmt.Fprintf(sb, "%s:\n", label(b))
+		out = append(appendLabel(out, f.Name, b), ":\n"...)
+		var next *ir.Block // the fallthrough block, whose jumps are elided
+		if idx+1 < len(blocks) {
+			next = blocks[idx+1]
+		}
 		for _, in := range b.Instrs {
-			emitInstr(sb, f, in, label, idx+1 < len(blocks), blocks, idx)
+			out = appendInstr(out, f.Name, in, next)
 		}
 	}
-	sb.WriteString("\n")
+	return append(out, '\n')
 }
 
-func reg(in *ir.Instr) string { return fmt.Sprintf("%%v%d", in.ID) }
+// appendLabel appends the local label of block b of function fn,
+// .L<fn>_<block ID>.
+func appendLabel(out []byte, fn string, b *ir.Block) []byte {
+	out = append(append(append(out, ".L"...), fn...), '_')
+	return strconv.AppendInt(out, int64(b.ID), 10)
+}
 
-func emitInstr(sb *strings.Builder, f *ir.Func, in *ir.Instr, label func(*ir.Block) string, hasNext bool, blocks []*ir.Block, idx int) {
+// appendReg appends in's virtual register, %v<value ID>.
+func appendReg(out []byte, in *ir.Instr) []byte {
+	return strconv.AppendInt(append(out, "%v"...), int64(in.ID), 10)
+}
+
+// appendOp appends "\t<op> <x>, <y>", a line without its newline.
+func appendOp(out []byte, op string, x, y *ir.Instr) []byte {
+	out = append(append(append(out, '\t'), op...), ' ')
+	return appendReg(append(appendReg(out, x), ", "...), y)
+}
+
+// appendInstr appends the lines of in, an instruction of function fn
+// whose block falls through to next.
+func appendInstr(out []byte, fn string, in *ir.Instr, next *ir.Block) []byte {
 	switch in.Op {
 	case ir.OpConst:
-		fmt.Fprintf(sb, "\tmov $%d, %s\n", in.IntVal, reg(in))
+		out = strconv.AppendInt(append(out, "\tmov $"...), in.IntVal, 10)
+		out = appendReg(append(out, ", "...), in)
 	case ir.OpNull:
-		fmt.Fprintf(sb, "\txor %s, %s\n", reg(in), reg(in))
+		out = appendOp(out, "xor", in, in)
 	case ir.OpGlobalAddr:
-		fmt.Fprintf(sb, "\tlea %s(%%rip), %s\n", mangle(in.Global.Name), reg(in))
+		out = append(append(append(out, "\tlea "...), in.Global.Name...), "(%rip), "...)
+		out = appendReg(out, in)
 	case ir.OpParam:
-		fmt.Fprintf(sb, "\tmov %s, %s\n", paramReg(in.ParamIdx), reg(in))
+		out = appendParamReg(append(out, "\tmov "...), in.ParamIdx)
+		out = appendReg(append(out, ", "...), in)
 	case ir.OpAlloca:
-		fmt.Fprintf(sb, "\tlea -%d(%%rbp), %s\n", 8*(in.ID+1), reg(in))
+		out = strconv.AppendInt(append(out, "\tlea -"...), int64(8*(in.ID+1)), 10)
+		out = appendReg(append(out, "(%rbp), "...), in)
 	case ir.OpPhi:
 		// Phis are resolved by the (virtual) register copies implied on
 		// each incoming edge; document the join for readability.
-		fmt.Fprintf(sb, "\t# phi %s\n", reg(in))
+		out = appendReg(append(out, "\t# phi "...), in)
 	case ir.OpBin:
-		fmt.Fprintf(sb, "\t%s %s, %s, %s\n", mnemonic(in.BinOp), reg(in.Args[0]), reg(in.Args[1]), reg(in))
+		out = appendOp(out, mnemonic(in.BinOp), in.Args[0], in.Args[1])
+		out = appendReg(append(out, ", "...), in)
 	case ir.OpCast:
-		fmt.Fprintf(sb, "\tmovsx %s, %s\n", reg(in.Args[0]), reg(in))
+		out = appendOp(out, "movsx", in.Args[0], in)
 	case ir.OpGEP:
-		fmt.Fprintf(sb, "\tlea (%s,%s,%d), %s\n", reg(in.Args[0]), reg(in.Args[1]), in.Typ.Elem.Size(), reg(in))
+		out = appendReg(append(out, "\tlea ("...), in.Args[0])
+		out = appendReg(append(out, ','), in.Args[1])
+		out = strconv.AppendInt(append(out, ','), int64(in.Typ.Elem.Size()), 10)
+		out = appendReg(append(out, "), "...), in)
 	case ir.OpSelect:
-		fmt.Fprintf(sb, "\ttest %s, %s\n", reg(in.Args[0]), reg(in.Args[0]))
-		fmt.Fprintf(sb, "\tcmovnz %s, %s\n", reg(in.Args[1]), reg(in))
-		fmt.Fprintf(sb, "\tcmovz %s, %s\n", reg(in.Args[2]), reg(in))
+		out = append(appendOp(out, "test", in.Args[0], in.Args[0]), '\n')
+		out = append(appendOp(out, "cmovnz", in.Args[1], in), '\n')
+		out = appendOp(out, "cmovz", in.Args[2], in)
 	case ir.OpLoad:
-		fmt.Fprintf(sb, "\tmov (%s), %s\n", reg(in.Args[0]), reg(in))
+		out = appendReg(append(out, "\tmov ("...), in.Args[0])
+		out = appendReg(append(out, "), "...), in)
 	case ir.OpStore:
-		fmt.Fprintf(sb, "\tmov %s, (%s)\n", reg(in.Args[1]), reg(in.Args[0]))
+		out = appendReg(append(out, "\tmov "...), in.Args[1])
+		out = append(appendReg(append(out, ", ("...), in.Args[0]), ')')
 	case ir.OpCall:
 		for i, a := range in.Args {
-			fmt.Fprintf(sb, "\tmov %s, %s\n", reg(a), paramReg(i))
+			out = appendReg(append(out, "\tmov "...), a)
+			out = append(appendParamReg(append(out, ", "...), i), '\n')
 		}
-		fmt.Fprintf(sb, "\tcall %s\n", in.Callee.Name)
+		out = append(append(out, "\tcall "...), in.Callee.Name...)
 		if in.Typ != nil {
-			fmt.Fprintf(sb, "\tmov %%rax, %s\n", reg(in))
+			out = appendReg(append(out, "\n\tmov %rax, "...), in)
 		}
 	case ir.OpRet:
 		if len(in.Args) > 0 {
-			fmt.Fprintf(sb, "\tmov %s, %%rax\n", reg(in.Args[0]))
+			out = append(appendReg(append(out, "\tmov "...), in.Args[0]), ", %rax\n"...)
 		}
-		fmt.Fprintf(sb, "\tret\n")
+		out = append(out, "\tret"...)
 	case ir.OpBr:
 		// Fallthrough elision when the target is the next emitted block.
-		if !(idx+1 < len(blocks) && blocks[idx+1] == in.Targets[0]) {
-			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Targets[0]))
+		if in.Targets[0] == next {
+			return out
 		}
+		out = appendLabel(append(out, "\tjmp "...), fn, in.Targets[0])
 	case ir.OpCondBr:
-		fmt.Fprintf(sb, "\ttest %s, %s\n", reg(in.Args[0]), reg(in.Args[0]))
-		fmt.Fprintf(sb, "\tjnz %s\n", label(in.Targets[0]))
-		if !(idx+1 < len(blocks) && blocks[idx+1] == in.Targets[1]) {
-			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Targets[1]))
+		out = append(appendOp(out, "test", in.Args[0], in.Args[0]), '\n')
+		out = appendLabel(append(out, "\tjnz "...), fn, in.Targets[0])
+		if in.Targets[1] != next {
+			out = appendLabel(append(out, "\n\tjmp "...), fn, in.Targets[1])
 		}
+	default:
+		return out
 	}
+	return append(out, '\n')
 }
 
-func paramReg(i int) string {
-	regs := []string{"%rdi", "%rsi", "%rdx", "%rcx", "%r8", "%r9"}
-	if i < len(regs) {
-		return regs[i]
+var paramRegs = [...]string{"%rdi", "%rsi", "%rdx", "%rcx", "%r8", "%r9"}
+
+// appendParamReg appends the location of argument i: a register for the
+// first six, a stack slot after them.
+func appendParamReg(out []byte, i int) []byte {
+	if i < len(paramRegs) {
+		return append(out, paramRegs[i]...)
 	}
-	return fmt.Sprintf("%d(%%rsp)", 8*(i-len(regs)))
+	return append(strconv.AppendInt(out, int64(8*(i-len(paramRegs))), 10), "(%rsp)"...)
 }
 
 func mnemonic(op token.Kind) string {
-	names := map[token.Kind]string{
-		token.Plus: "add", token.Minus: "sub", token.Star: "imul",
-		token.Slash: "idiv", token.Percent: "irem",
-		token.Amp: "and", token.Pipe: "or", token.Caret: "xor",
-		token.Shl: "shl", token.Shr: "shr",
-		token.EqEq: "sete", token.NotEq: "setne",
-		token.Lt: "setl", token.Gt: "setg", token.Le: "setle", token.Ge: "setge",
-	}
-	if n, ok := names[op]; ok {
-		return n
+	switch op {
+	case token.Plus:
+		return "add"
+	case token.Minus:
+		return "sub"
+	case token.Star:
+		return "imul"
+	case token.Slash:
+		return "idiv"
+	case token.Percent:
+		return "irem"
+	case token.Amp:
+		return "and"
+	case token.Pipe:
+		return "or"
+	case token.Caret:
+		return "xor"
+	case token.Shl:
+		return "shl"
+	case token.Shr:
+		return "shr"
+	case token.EqEq:
+		return "sete"
+	case token.NotEq:
+		return "setne"
+	case token.Lt:
+		return "setl"
+	case token.Gt:
+		return "setg"
+	case token.Le:
+		return "setle"
+	case token.Ge:
+		return "setge"
 	}
 	return "op"
 }

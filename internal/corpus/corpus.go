@@ -561,12 +561,14 @@ func failureFields(f *harness.Failure) map[string]any {
 // It touches no shared state: the analysis is returned for the seed's
 // finalize stage to merge, and events and spans are buffered into buf for
 // sequenced emission, which is what lets a seed's units run concurrently.
-func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, src string, traced, remarks bool, buf *slotBuf, tid int) (*core.Analysis, *harness.Failure) {
+// A failure carries the instrumented source as its reproducer, printed
+// only once the failure exists.
+func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, traced, remarks bool, buf *slotBuf, tid int) (*core.Analysis, *harness.Failure) {
 	cfg := pipeline.New(key.Personality, key.Level)
 	buf.emit("unit_begin", map[string]any{"seed": r.Seed, "config": key.String()})
 	ustart := buf.now()
 	var out *core.Analysis
-	fail := h.Protect(r.Seed, key.String(), src, func(guard opt.Observer) error {
+	fail := h.Protect(r.Seed, key.String(), "", func(guard opt.Observer) error {
 		hooks := core.Hooks{Observer: guard}
 		if rec := newRecorder(o.Metrics, buf, tid); rec != nil {
 			hooks.Recorder = rec
@@ -598,6 +600,7 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, s
 			span.Int64("seed", r.Seed), span.Bool("ok", fail == nil))
 	}
 	if fail != nil {
+		fail.Source = SourceOf(r)
 		return nil, fail
 	}
 	return out, nil

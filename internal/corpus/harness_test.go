@@ -107,8 +107,12 @@ func TestFaultInjectionCampaign(t *testing.T) {
 	if !strings.Contains(crash.Signature, "internal/opt") {
 		t.Errorf("crash not bucketed by the faulting pipeline frames: %q", crash.Signature)
 	}
-	if crash.Source == "" || !strings.Contains(crash.Source, "DCEMarker") {
-		t.Error("crash carries no instrumented reproducer")
+	// Each failure's reproducer is the instrumented program's source.
+	if want := SourceOf(faulted.Programs[1]); crash.Source != want {
+		t.Errorf("crash reproducer is not seed 101's instrumented source:\n%s", crash.Source)
+	}
+	if want := SourceOf(faulted.Programs[3]); timeout.Source != want {
+		t.Errorf("timeout reproducer is not seed 103's instrumented source:\n%s", timeout.Source)
 	}
 	if timeout.Seed != 103 || timeout.Config != "llvm-sim -O1" {
 		t.Errorf("timeout at the wrong unit: %+v", timeout)

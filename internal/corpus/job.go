@@ -3,7 +3,6 @@ package corpus
 import (
 	"time"
 
-	"dcelens/internal/ast"
 	"dcelens/internal/core"
 	"dcelens/internal/harness"
 	"dcelens/internal/metrics"
@@ -37,7 +36,6 @@ type seedJob struct {
 
 	start    time.Time
 	r        *ProgramResult
-	src      string
 	restored bool
 	skipped  bool
 	unitAn   []*core.Analysis
@@ -98,7 +96,6 @@ func (j *seedJob) prepare(w int) (int, error) {
 		j.skipUnits()
 		return 0, nil
 	}
-	j.src = ast.Print(j.r.Ins.Prog)
 	j.unitAn = make([]*core.Analysis, len(j.cfgs))
 	j.unitFail = make([]*harness.Failure, len(j.cfgs))
 	return len(j.cfgs), nil
@@ -109,12 +106,12 @@ func (j *seedJob) prepare(w int) (int, error) {
 func (j *seedJob) unit(w, u int) error {
 	key := j.cfgs[u]
 	buf := &slotBuf{o: j.o}
-	an, fail := runConfig(*j.o, j.h, j.r, key, j.src, j.o.Trace, j.o.Remarks, buf, w+1)
+	an, fail := runConfig(*j.o, j.h, j.r, key, j.o.Trace, j.o.Remarks, buf, w+1)
 	if fail != nil && (j.o.Trace || j.o.Remarks) {
 		// Graceful degradation: the observers themselves (the trace
 		// recorder's per-pass IR scans, the remark collector) may be what
 		// broke — retry once with both off before giving up on the config.
-		if ran, retry := runConfig(*j.o, j.h, j.r, key, j.src, false, false, buf, w+1); retry == nil {
+		if ran, retry := runConfig(*j.o, j.h, j.r, key, false, false, buf, w+1); retry == nil {
 			an, fail = ran, nil
 		}
 	}

@@ -45,11 +45,14 @@ func (f *Func) Reachable() []bool {
 // instance, so its construction cost (formerly dominated by map churn) is
 // squarely on the campaign hot path.
 type DomTree struct {
-	fn    *Func
-	idom  []*Block   // immediate dominator; entry and unreachable → nil
-	kids  [][]*Block // dominator-tree children, in RPO
-	order []int32    // reverse postorder index; -1 = unreachable
-	rpo   []*Block
+	fn   *Func
+	idom []*Block // immediate dominator; entry and unreachable → nil
+	// Dominator-tree children, in RPO, carved from one slab: b's children
+	// are kids[kidStart[b.ID]:kidStart[b.ID+1]].
+	kids     []*Block
+	kidStart []int32
+	order    []int32 // reverse postorder index; -1 = unreachable
+	rpo      []*Block
 }
 
 // Dominators computes the dominator tree with the Cooper-Harvey-Kennedy
@@ -57,10 +60,10 @@ type DomTree struct {
 func Dominators(f *Func) *DomTree {
 	n := f.nextBlockID
 	t := &DomTree{
-		fn:    f,
-		idom:  make([]*Block, n),
-		kids:  make([][]*Block, n),
-		order: make([]int32, n),
+		fn:       f,
+		idom:     make([]*Block, n),
+		kidStart: make([]int32, n+1),
+		order:    make([]int32, n),
 	}
 	for i := range t.order {
 		t.order[i] = -1
@@ -102,12 +105,27 @@ func Dominators(f *Func) *DomTree {
 		}
 	}
 	t.idom[entry.ID] = nil
-	// Children in RPO: deterministic regardless of map iteration order.
+	// Children in RPO: count each block's children, turn the counts into
+	// start offsets, then fill. While filling, kidStart[d] is d's next free
+	// slot, so it ends as d+1's start and the offsets shift back by one.
+	start := t.kidStart
 	for _, b := range t.rpo {
 		if d := t.idom[b.ID]; d != nil {
-			t.kids[d.ID] = append(t.kids[d.ID], b)
+			start[d.ID+1]++
 		}
 	}
+	for i := 0; i < n; i++ {
+		start[i+1] += start[i]
+	}
+	t.kids = make([]*Block, start[n])
+	for _, b := range t.rpo {
+		if d := t.idom[b.ID]; d != nil {
+			t.kids[start[d.ID]] = b
+			start[d.ID]++
+		}
+	}
+	copy(start[1:], start[:n])
+	start[0] = 0
 	return t
 }
 
@@ -134,7 +152,10 @@ func (t *DomTree) intersect(a, b *Block) *Block {
 func (t *DomTree) Idom(b *Block) *Block { return t.idom[b.ID] }
 
 // Children returns the dominator-tree children of b, in reverse postorder.
-func (t *DomTree) Children(b *Block) []*Block { return t.kids[b.ID] }
+func (t *DomTree) Children(b *Block) []*Block {
+	lo, hi := t.kidStart[b.ID], t.kidStart[b.ID+1]
+	return t.kids[lo:hi:hi]
+}
 
 // RPO returns the reachable blocks in reverse postorder.
 func (t *DomTree) RPO() []*Block { return t.rpo }

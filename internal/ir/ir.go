@@ -372,9 +372,17 @@ func ReplaceAllUses(old, new *Instr) {
 // one with Add, reads operands through Resolve while it works, and rewrites
 // every argument slot with one Apply sweep at the end — O(function) total
 // instead of O(function) per replacement.
+//
+// Pending replacements sit in a table indexed by Instr.ID, so a Relocator
+// serves one function at a time (Reset between functions). Each slot also
+// holds the value it maps, so a value of another function whose ID
+// collides with a mapped one resolves to itself.
 type Relocator struct {
-	m map[*Instr]*Instr
+	slots []relocSlot // by Instr.ID
+	n     int         // occupied slots
 }
+
+type relocSlot struct{ old, new *Instr }
 
 // Add records that every use of old should become new. Chains (old→a, a→b)
 // are permitted; Resolve and Apply follow them to the final target. A
@@ -382,38 +390,64 @@ type Relocator struct {
 // it could only arise from degenerate IR (a self-referential phi) and would
 // otherwise make Resolve cycle forever.
 func (r *Relocator) Add(old, new *Instr) {
-	if r.m == nil {
-		r.m = make(map[*Instr]*Instr, 16)
+	n := r.Resolve(new)
+	if n == old {
+		return
 	}
-	if n := r.Resolve(new); n != old {
-		r.m[old] = n
+	if old.ID >= len(r.slots) {
+		r.grow(old)
 	}
+	s := &r.slots[old.ID]
+	switch s.old {
+	case nil:
+		r.n++
+	case old:
+	default:
+		panic("ir: Relocator: values of two functions share an ID")
+	}
+	s.old, s.new = old, n
+}
+
+// grow extends the table to cover v's ID, sized for every value of v's
+// function so that one allocation usually serves a whole pass.
+func (r *Relocator) grow(v *Instr) {
+	n := max(v.ID+1, 2*len(r.slots))
+	if v.Block != nil {
+		n = max(n, v.Block.Func.NumValues())
+	}
+	slots := make([]relocSlot, n)
+	copy(slots, r.slots)
+	r.slots = slots
+}
+
+// target returns v's recorded replacement, or nil when it has none.
+func (r *Relocator) target(v *Instr) *Instr {
+	if v != nil && uint(v.ID) < uint(len(r.slots)) && r.slots[v.ID].old == v {
+		return r.slots[v.ID].new
+	}
+	return nil
 }
 
 // Resolve returns the current replacement target for v (v itself when it
 // has none), following chains with path compression.
 func (r *Relocator) Resolve(v *Instr) *Instr {
-	n, ok := r.m[v]
-	if !ok {
+	n := r.target(v)
+	if n == nil {
 		return v
 	}
-	for {
-		n2, ok := r.m[n]
-		if !ok {
-			break
-		}
+	for n2 := r.target(n); n2 != nil; n2 = r.target(n) {
 		n = n2
 	}
-	r.m[v] = n
+	r.slots[v.ID].new = n
 	return n
 }
 
 // Empty reports whether no replacements are pending.
-func (r *Relocator) Empty() bool { return len(r.m) == 0 }
+func (r *Relocator) Empty() bool { return r.n == 0 }
 
 // Apply rewrites every argument slot in f through the pending replacements.
 func (r *Relocator) Apply(f *Func) {
-	if len(r.m) == 0 {
+	if r.n == 0 {
 		return
 	}
 	for _, b := range f.Blocks {
@@ -427,8 +461,14 @@ func (r *Relocator) Apply(f *Func) {
 	}
 }
 
-// Reset clears pending replacements, retaining the map for reuse.
-func (r *Relocator) Reset() { clear(r.m) }
+// Reset clears pending replacements, retaining the table for reuse. Every
+// slot is zero afterwards, so a reset Relocator references no values.
+func (r *Relocator) Reset() {
+	if r.n > 0 { // with no occupied slot, the table is already zero
+		clear(r.slots)
+		r.n = 0
+	}
+}
 
 // CountUses returns the number of operand slots referencing in.
 func CountUses(in *Instr) int {

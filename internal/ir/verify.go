@@ -38,17 +38,29 @@ func verifyFunc(f *Func) error {
 		return fmt.Errorf("no blocks")
 	}
 
-	inFunc := map[*Block]bool{}
+	// f's blocks by Block.ID. A slot holds the block it was filled from,
+	// so a block of another function whose ID collides with one of f's
+	// own is still foreign.
+	nb := f.NumBlocks()
 	for _, b := range f.Blocks {
-		inFunc[b] = true
+		nb = max(nb, b.ID+1)
+	}
+	blockAt := make([]*Block, nb)
+	for _, b := range f.Blocks {
+		blockAt[b.ID] = b
+	}
+	inFunc := func(b *Block) bool {
+		return b != nil && uint(b.ID) < uint(len(blockAt)) && blockAt[b.ID] == b
 	}
 
+	nv := f.NumValues()
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			bail("b%d: empty block", b.ID)
 			continue
 		}
 		for i, in := range b.Instrs {
+			nv = max(nv, in.ID+1)
 			if in.Block != b {
 				bail("b%d: instruction v%d has wrong owner", b.ID, in.ID)
 			}
@@ -75,7 +87,7 @@ func verifyFunc(f *Func) error {
 				}
 			}
 			for _, t := range in.Targets {
-				if !inFunc[t] {
+				if !inFunc(t) {
 					bail("b%d: v%d targets foreign block", b.ID, in.ID)
 				}
 			}
@@ -94,28 +106,38 @@ func verifyFunc(f *Func) error {
 		}
 	}
 
-	// Edge consistency: preds must mirror successor edges exactly
-	// (as multisets).
-	edgeCount := map[[2]*Block]int{}
+	// Edge consistency: for every block pair (p, s), p's terminator edges
+	// to s and p's entries in s.Preds must agree in number. Only f's own
+	// terminators and Preds lists count, so an edge to or from a foreign
+	// block always disagrees. Each pair is checked at its first
+	// occurrence.
 	for _, b := range f.Blocks {
-		for _, s := range b.Succs() {
-			edgeCount[[2]*Block{b, s}]++
+		succs := b.Succs()
+		for i, s := range succs {
+			if blockListContains(succs[:i], s) {
+				continue
+			}
+			n, preds := countBlock(succs, s), 0
+			if inFunc(s) {
+				preds = countBlock(s.Preds, b)
+			}
+			if preds != n {
+				bail("edge b%d->b%d: %d terminator edges, %d pred entries", b.ID, s.ID, n, preds)
+			}
 		}
 	}
-	predCount := map[[2]*Block]int{}
-	for _, b := range f.Blocks {
-		for _, p := range b.Preds {
-			predCount[[2]*Block{p, b}]++
-		}
-	}
-	for e, n := range edgeCount {
-		if predCount[e] != n {
-			bail("edge b%d->b%d: %d terminator edges, %d pred entries", e[0].ID, e[1].ID, n, predCount[e])
-		}
-	}
-	for e, n := range predCount {
-		if edgeCount[e] != n {
-			bail("edge b%d->b%d: %d pred entries, %d terminator edges", e[0].ID, e[1].ID, n, edgeCount[e])
+	for _, s := range f.Blocks {
+		for i, p := range s.Preds {
+			if blockListContains(s.Preds[:i], p) {
+				continue
+			}
+			n, edges := countBlock(s.Preds, p), 0
+			if inFunc(p) {
+				edges = countBlock(p.Succs(), s)
+			}
+			if edges != n {
+				bail("edge b%d->b%d: %d pred entries, %d terminator edges", p.ID, s.ID, n, edges)
+			}
 		}
 	}
 
@@ -123,20 +145,24 @@ func verifyFunc(f *Func) error {
 		return errors.Join(errs...)
 	}
 
-	// Defs dominate uses (reachable blocks only).
+	// Defs dominate uses (reachable blocks only). Every listed value's
+	// Block is its block here (the owner check above passed), so the
+	// table records only each value's position, keyed by Instr.ID and
+	// holding the value itself: a value no block lists, even one whose ID
+	// collides with a listed value's, is not in the function.
 	dt := Dominators(f)
 	reach := f.Reachable()
-	defBlock := map[*Instr]*Block{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			defBlock[in] = b
-		}
-	}
-	pos := map[*Instr]int{}
+	defs := make([]valueDef, nv)
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
-			pos[in] = i
+			defs[in.ID] = valueDef{in, int32(i)}
 		}
+	}
+	def := func(a *Instr) (valueDef, bool) {
+		if uint(a.ID) < uint(len(defs)) && defs[a.ID].in == a {
+			return defs[a.ID], true
+		}
+		return valueDef{}, false
 	}
 	for _, b := range f.Blocks {
 		if !reach[b.ID] {
@@ -149,25 +175,24 @@ func verifyFunc(f *Func) error {
 					if !reach[pb.ID] {
 						continue
 					}
-					db := defBlock[a]
-					if db == nil {
+					if _, ok := def(a); !ok {
 						bail("phi v%d arg not in function", in.ID)
 						continue
 					}
-					if !dt.Dominates(db, pb) {
+					if db := a.Block; !dt.Dominates(db, pb) {
 						bail("phi v%d: def b%d does not dominate incoming edge from b%d", in.ID, db.ID, pb.ID)
 					}
 				}
 				continue
 			}
 			for _, a := range in.Args {
-				db := defBlock[a]
-				if db == nil {
+				d, ok := def(a)
+				if !ok {
 					bail("v%d: operand v%d not in function body", in.ID, a.ID)
 					continue
 				}
-				if db == b {
-					if pos[a] >= pos[in] {
+				if db := a.Block; db == b {
+					if d.pos >= defs[in.ID].pos {
 						bail("b%d: v%d used before defined (v%d)", b.ID, a.ID, in.ID)
 					}
 				} else if !dt.Dominates(db, b) {
@@ -180,6 +205,12 @@ func verifyFunc(f *Func) error {
 	return errors.Join(errs...)
 }
 
+// valueDef is a listed value and its index in its block.
+type valueDef struct {
+	in  *Instr
+	pos int32
+}
+
 func blockListContains(bs []*Block, b *Block) bool {
 	for _, x := range bs {
 		if x == b {
@@ -187,4 +218,14 @@ func blockListContains(bs []*Block, b *Block) bool {
 		}
 	}
 	return false
+}
+
+func countBlock(bs []*Block, b *Block) int {
+	n := 0
+	for _, x := range bs {
+		if x == b {
+			n++
+		}
+	}
+	return n
 }

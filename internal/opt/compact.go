@@ -26,7 +26,7 @@ var Compact = Pass{Name: "compact", Fn: compactFunc}
 
 func compactFunc(f *ir.Func, o Options) bool {
 	changed := false
-	var reloc ir.Relocator
+	reloc := getRelocator()
 	for _, b := range f.Blocks {
 		keep := b.Instrs[:0]
 		for _, in := range b.Instrs {
@@ -73,9 +73,8 @@ func compactFunc(f *ir.Func, o Options) bool {
 		}
 		b.Instrs = keep
 	}
-	if !reloc.Empty() {
-		reloc.Apply(f)
-	}
+	reloc.Apply(f)
+	putRelocator(reloc)
 	for _, b := range f.Blocks {
 		if foldConstBranch(b) {
 			changed = true

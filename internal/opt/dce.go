@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"sync"
 
 	"dcelens/internal/ir"
 )
@@ -29,11 +30,25 @@ func dceFunc(f *ir.Func, o Options) bool {
 			}
 		}
 	}
-	// Use counts over the whole function, dense by instruction ID —
-	// replacing the pointer-keyed maps that made this pass one of the
-	// hottest allocation sites in the campaign.
+	sc := dcePool.Get().(*dceScratch)
+	removed, changed := sc.sweep(f)
+	sc.release()
+	if !changed {
+		return false
+	}
+	if o.RemarksOn() {
+		o.applied(f, fmt.Sprintf("removed %d dead values", removed), "")
+	}
+	return true
+}
+
+// sweep deletes f's dead values, reporting how many of them its blocks
+// held and whether it found any.
+func (sc *dceScratch) sweep(f *ir.Func) (removed int, changed bool) {
+	// Use counts over the whole function, dense by instruction ID.
 	n := f.NumValues()
-	uses := make([]int32, n)
+	sc.uses = resize(sc.uses, n)
+	uses := sc.uses
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -51,40 +66,34 @@ func dceFunc(f *ir.Func, o Options) bool {
 		return in.IsPure()
 	}
 
-	changed := false
 	// Worklist to cascade: removing an instruction may zero its operands'
 	// use counts.
-	var work []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if uses[in.ID] == 0 && in.Typ != nil && deletable(in) {
-				work = append(work, in)
+				sc.work = append(sc.work, in)
 			}
 		}
 	}
-	if len(work) == 0 {
-		return false
+	if len(sc.work) == 0 {
+		return 0, false
 	}
-	dead := make([]bool, n)
-	for len(work) > 0 {
-		in := work[len(work)-1]
-		work = work[:len(work)-1]
+	sc.dead = resize(sc.dead, n)
+	dead := sc.dead
+	for len(sc.work) > 0 {
+		in := sc.work[len(sc.work)-1]
+		sc.work = sc.work[:len(sc.work)-1]
 		if dead[in.ID] {
 			continue
 		}
 		dead[in.ID] = true
-		changed = true
 		for _, a := range in.Args {
 			uses[a.ID]--
 			if uses[a.ID] == 0 && a.Typ != nil && deletable(a) {
-				work = append(work, a)
+				sc.work = append(sc.work, a)
 			}
 		}
 	}
-	if !changed {
-		return false
-	}
-	removed := 0
 	for _, b := range f.Blocks {
 		keep := b.Instrs[:0]
 		for _, in := range b.Instrs {
@@ -96,8 +105,19 @@ func dceFunc(f *ir.Func, o Options) bool {
 		}
 		b.Instrs = keep
 	}
-	if o.RemarksOn() {
-		o.applied(f, fmt.Sprintf("removed %d dead values", removed), "")
-	}
-	return true
+	return removed, true
+}
+
+// dceScratch is dce's pooled per-run state (see scratch.go).
+type dceScratch struct {
+	uses []int32
+	dead []bool
+	work []*ir.Instr
+}
+
+var dcePool = sync.Pool{New: func() any { return new(dceScratch) }}
+
+func (sc *dceScratch) release() {
+	sc.work = clearAll(sc.work)
+	dcePool.Put(sc)
 }

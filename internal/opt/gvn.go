@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"sync"
 
 	"dcelens/internal/ir"
 	"dcelens/internal/token"
@@ -119,33 +120,61 @@ func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
 	return changed
 }
 
-func gvnFunc(f *ir.Func, o Options) bool {
-	dt := ir.Dominators(f)
-	ac := NewAliasCtx(f, o.Alias)
-	g := &gvnState{
-		o:       o,
-		ac:      ac,
+var gvnPool = sync.Pool{New: func() any {
+	return &gvnState{
 		table:   map[gvnKey]*ir.Instr{},
 		typeIDs: map[*types.Type]int{},
 		typeStr: map[string]int{},
 	}
+}}
+
+func gvnFunc(f *ir.Func, o Options) bool {
+	dt := ir.Dominators(f)
+	g := gvnPool.Get().(*gvnState)
+	g.o, g.ac = o, NewAliasCtx(f, o.Alias)
 	changed := g.walk(f.Entry(), dt)
 	// One sweep repairs every remaining stale operand (phis visited before
 	// the value they reference was replaced).
 	g.reloc.Apply(f)
+	g.release()
 	return changed
+}
+
+// release clears the state under the pooled-scratch rule (scratch.go) and
+// returns it to its pool.
+func (g *gvnState) release() {
+	g.o, g.ac = Options{}, nil
+	clear(g.table)
+	clear(g.typeIDs)
+	clear(g.typeStr)
+	g.scope = clearAll(g.scope)
+	g.avail = clearAll(g.avail)
+	g.reloc.Reset()
+	gvnPool.Put(g)
 }
 
 type gvnState struct {
 	o     Options
 	ac    *AliasCtx
 	table map[gvnKey]*ir.Instr
+	// scope is the undo stack of the table's dominator scopes: the keys
+	// each block on the walk's current path added, in order. A block pops
+	// its own keys back out of the table when its subtree is done.
+	scope []gvnKey
+	// avail is the block-local forwarding state, reused block to block.
+	avail []memEntry
 	reloc ir.Relocator
 	// Type interning: structurally identical types can be distinct
 	// pointers, so key equality goes through a string-deduplicated id —
 	// computed once per distinct pointer, not once per instruction.
 	typeIDs map[*types.Type]int
 	typeStr map[string]int
+}
+
+// memEntry is an available memory value: loc currently holds val.
+type memEntry struct {
+	loc Loc
+	val *ir.Instr
 }
 
 // gvnKey is the structural identity of a pure instruction — a comparable
@@ -179,14 +208,10 @@ func (g *gvnState) typeID(t *types.Type) int {
 // walk performs a preorder dominator-tree traversal with a scoped table.
 func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 	changed := false
-	var added []gvnKey
+	mark := len(g.scope)
 
 	// Block-local memory state for forwarding.
-	type memEntry struct {
-		loc Loc
-		val *ir.Instr
-	}
-	var avail []memEntry
+	avail := g.avail[:0]
 	// invalidate reports how many forwarding candidates it killed, so the
 	// call-clobber remark can say what was lost.
 	invalidate := func(pred func(Loc) bool) int {
@@ -286,21 +311,23 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 					continue // drop the duplicate
 				}
 				g.table[key] = in
-				added = append(added, key)
+				g.scope = append(g.scope, key)
 			}
 		}
 		keep = append(keep, in)
 	}
 	b.Instrs = keep
+	g.avail = avail
 
 	for _, kid := range dt.Children(b) {
 		if g.walk(kid, dt) {
 			changed = true
 		}
 	}
-	for _, k := range added {
+	for _, k := range g.scope[mark:] {
 		delete(g.table, k)
 	}
+	g.scope = g.scope[:mark]
 	return changed
 }
 

@@ -15,7 +15,7 @@ var InstCombine = Pass{Name: "instcombine", Fn: instCombineFunc}
 
 func instCombineFunc(f *ir.Func, o Options) bool {
 	changed := false
-	var reloc ir.Relocator
+	reloc := getRelocator()
 	for {
 		local := false
 		for _, b := range f.Blocks {
@@ -44,6 +44,7 @@ func instCombineFunc(f *ir.Func, o Options) bool {
 		reloc.Reset()
 		dceFunc(f, Options{}) // drop the now-dead originals before the next sweep (no remarks: it is instcombine cleanup, not a dce decision)
 	}
+	putRelocator(reloc)
 	return changed
 }
 

@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"sync"
 
 	"dcelens/internal/ir"
 )
@@ -21,13 +22,19 @@ func licmFunc(f *ir.Func, o Options) bool {
 	dt := ir.Dominators(f)
 	loops := ir.NaturalLoops(f, dt)
 	ac := NewAliasCtx(f, o.Alias)
+	defined := licmPool.Get().(*[]bool)
 	for _, l := range loops {
-		if licmLoop(f, l, ac, o) {
+		if licmLoop(f, l, ac, o, defined) {
 			changed = true
 		}
 	}
+	licmPool.Put(defined)
 	return changed
 }
+
+// licmPool recycles licmLoop's definedInLoop table (see scratch.go; it
+// holds no pointers, so it needs no clearing on return).
+var licmPool = sync.Pool{New: func() any { return new([]bool) }}
 
 // loadSubject names the location a load reads, for remarks.
 func loadSubject(in *ir.Instr) string {
@@ -129,7 +136,7 @@ func allSame(vals []*ir.Instr) bool {
 	return true
 }
 
-func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options) bool {
+func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, defined *[]bool) bool {
 	// Collect loop memory behaviour. Iterate f.Blocks for determinism.
 	var loopStores []Loc
 	hasInternalCall, hasExternalCall := false, false
@@ -153,7 +160,8 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options) bool {
 
 	// Dense by instruction ID; values created later (preheader branch/phis)
 	// are out of range and correctly read as defined outside the loop.
-	definedInLoop := make([]bool, f.NumValues())
+	*defined = resize(*defined, f.NumValues())
+	definedInLoop := *defined
 	for _, b := range f.Blocks {
 		if !l.Blocks[b] {
 			continue

@@ -43,14 +43,15 @@ func mem2regFunc(f *ir.Func, o Options) bool {
 
 	// All promotions share one relocation batch: dropped loads resolve
 	// through it on read, and a single Apply sweep rewrites the survivors.
-	var reloc ir.Relocator
+	reloc := getRelocator()
 	for _, a := range cands {
-		promote(f, a, dt, df, reach, &reloc)
+		promote(f, a, dt, df, reach, reloc)
 		if o.RemarksOn() {
 			o.applied(f, fmt.Sprintf("alloca v%d", a.ID), "promoted to SSA registers")
 		}
 	}
 	reloc.Apply(f)
+	putRelocator(reloc)
 	return true
 }
 

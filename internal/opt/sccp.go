@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"sync"
+
 	"dcelens/internal/ir"
 	"dcelens/internal/sema"
 	"dcelens/internal/token"
@@ -13,17 +15,32 @@ import (
 // reproducing LLVM's EarlyCSE limitation from paper Listing 3.
 var SCCP = Pass{Name: "sccp", Fn: sccpFunc}
 
+var sccpPool = sync.Pool{New: func() any { return new(sccpState) }}
+
 func sccpFunc(f *ir.Func, o Options) bool {
-	s := &sccpState{
-		f:         f,
-		opts:      o,
-		lat:       make([]lattice, f.NumValues()),
-		edgeExec:  make([]bool, f.NumBlocks()*2),
-		blockExec: make([]bool, f.NumBlocks()),
-	}
+	s := sccpPool.Get().(*sccpState)
+	s.f, s.opts = f, o
+	s.lat = resize(s.lat, f.NumValues())
+	s.edgeExec = resize(s.edgeExec, f.NumBlocks()*2)
+	s.blockExec = resize(s.blockExec, f.NumBlocks())
 	s.buildUsers(f)
 	s.solve()
-	return s.apply()
+	changed := s.apply()
+	s.release()
+	return changed
+}
+
+// release clears the state under the pooled-scratch rule (scratch.go) and
+// returns it to its pool.
+func (s *sccpState) release() {
+	s.f, s.opts = nil, Options{}
+	s.lat = clearAll(s.lat)
+	s.userData = clearAll(s.userData)
+	s.flowWork = clearAll(s.flowWork)
+	s.ssaWork = clearAll(s.ssaWork)
+	s.snapshot = clearAll(s.snapshot)
+	s.reloc.Reset()
+	sccpPool.Put(s)
 }
 
 // lattice values: unknown (top), a constant, or varying (bottom).
@@ -61,11 +78,11 @@ func meet(a, b lattice) lattice {
 }
 
 // buildUsers constructs the def→use edges in CSR form: userStart[id] /
-// userStart[id+1] delimit id's users inside userData. Two dense passes, two
-// allocations — no per-value map entries or append-grown slices.
+// userStart[id+1] delimit id's users inside userData. Two dense passes
+// over pooled tables — no per-value map entries or append-grown slices.
 func (s *sccpState) buildUsers(f *ir.Func) {
 	n := f.NumValues()
-	start := make([]int32, n+1)
+	start := resize(s.userStart, n+1)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -76,8 +93,8 @@ func (s *sccpState) buildUsers(f *ir.Func) {
 	for i := 0; i < n; i++ {
 		start[i+1] += start[i]
 	}
-	data := make([]*ir.Instr, start[n])
-	fill := make([]int32, n)
+	data := resize(s.userData, int(start[n]))
+	fill := resize(s.userFill, n)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
@@ -86,7 +103,7 @@ func (s *sccpState) buildUsers(f *ir.Func) {
 			}
 		}
 	}
-	s.userStart, s.userData = start, data
+	s.userStart, s.userData, s.userFill = start, data, fill
 }
 
 func (s *sccpState) users(in *ir.Instr) []*ir.Instr {
@@ -106,9 +123,15 @@ type sccpState struct {
 	blockExec []bool
 	userStart []int32
 	userData  []*ir.Instr
+	userFill  []int32
 
 	flowWork [][2]*ir.Block
 	ssaWork  []*ir.Instr
+
+	// apply's scratch: the block being rewritten, copied before constants
+	// are inserted into it, and the batched replacements.
+	snapshot []*ir.Instr
+	reloc    ir.Relocator
 }
 
 // edgeIsExec reports whether the CFG edge from→to is executable.
@@ -373,7 +396,7 @@ func (s *sccpState) apply() bool {
 	changed := false
 	// Constant materializations don't read each other's results: batch every
 	// replacement and rewrite all argument slots in one sweep at the end.
-	var reloc ir.Relocator
+	reloc := &s.reloc
 	for _, b := range s.f.Blocks {
 		if !s.blockExec[b.ID] {
 			continue
@@ -391,7 +414,8 @@ func (s *sccpState) apply() bool {
 			}
 			return in // unreachable: a block always has a terminator
 		}
-		for _, in := range append([]*ir.Instr(nil), b.Instrs...) {
+		s.snapshot = append(s.snapshot[:0], b.Instrs...)
+		for _, in := range s.snapshot {
 			v := s.lat[in.ID]
 			if in.Typ == nil {
 				continue

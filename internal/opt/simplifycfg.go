@@ -31,15 +31,14 @@ func simplifyCFGOnce(f *ir.Func) bool {
 	}
 	// Phi simplification batches its replacements: one Apply sweep instead
 	// of an O(function) ReplaceAllUses per trivial phi.
-	var reloc ir.Relocator
+	reloc := getRelocator()
 	for _, b := range f.Blocks {
-		if simplifySingleEntryPhis(b, &reloc) {
+		if simplifySingleEntryPhis(b, reloc) {
 			changed = true
 		}
 	}
-	if !reloc.Empty() {
-		reloc.Apply(f)
-	}
+	reloc.Apply(f)
+	putRelocator(reloc)
 	if mergeStraightLine(f) {
 		changed = true
 	}

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"sync"
+
 	"dcelens/internal/ir"
 	"dcelens/internal/token"
 	"dcelens/internal/types"
@@ -78,11 +80,27 @@ func max64(a, b int64) int64 {
 	return b
 }
 
+// knownRange is one slot of vrp's dense range table: the value's range,
+// once known is set.
+type knownRange struct {
+	r     vrange
+	known bool
+}
+
+// vrpPool recycles vrp's range table (see scratch.go; the table holds no
+// pointers, so it needs no clearing on return).
+var vrpPool = sync.Pool{New: func() any { return new([]knownRange) }}
+
 func vrpFunc(f *ir.Func, o Options) bool {
-	ranges := map[*ir.Instr]vrange{}
+	// Ranges by Instr.ID, for the values f has on entry; values created
+	// later (the folded constants) have none.
+	table := vrpPool.Get().(*[]knownRange)
+	defer vrpPool.Put(table)
+	*table = resize(*table, f.NumValues())
+	ranges := *table
 	get := func(v *ir.Instr) vrange {
-		if r, ok := ranges[v]; ok {
-			return r
+		if v.ID < len(ranges) && ranges[v.ID].known {
+			return ranges[v.ID].r
 		}
 		return fullR()
 	}
@@ -144,9 +162,8 @@ func vrpFunc(f *ir.Func, o Options) bool {
 				if in.Typ != nil && in.Typ.IsInteger() {
 					r = soundClamp(r, in.Typ)
 				}
-				old, had := ranges[in]
-				if !had || old != r {
-					ranges[in] = r
+				if old := ranges[in.ID]; !old.known || old.r != r {
+					ranges[in.ID] = knownRange{r, true}
 					changed = true
 				}
 			}
@@ -161,7 +178,8 @@ func vrpFunc(f *ir.Func, o Options) bool {
 	// folded this sweep sees the fresh constant (range-less), exactly as if
 	// each replacement had been applied eagerly.
 	foldedAny := false
-	var reloc ir.Relocator
+	reloc := getRelocator()
+	defer putRelocator(reloc)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpBin || !isComparison(in.BinOp) {
