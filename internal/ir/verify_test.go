@@ -222,9 +222,10 @@ func TestVerifyDiagnostics(t *testing.T) {
 
 // TestRelocator pins the batched use-rewriter's contract: chains resolve to
 // their final target, path compression keeps later chain extensions
-// visible, self-maps are dropped, Reset empties it for reuse, and values
+// visible, self-maps are dropped, Reset empties it for reuse, values
 // created after the first Add (IDs past any table sized then) relocate
-// like the rest.
+// like the rest, and a value of another function never resolves through,
+// or overwrites, a local value's mapping.
 func TestRelocator(t *testing.T) {
 	i32 := types.I32Type
 	f := &Func{Name: "f", Ret: i32}
@@ -295,4 +296,13 @@ func TestRelocator(t *testing.T) {
 	if ret.Args[0] != hi {
 		t.Fatalf("Apply after Reset: ret arg v%d, want v%d", ret.Args[0].ID, hi.ID)
 	}
+
+	// A Relocator serves one function at a time: recording a value of
+	// another function whose ID is already mapped is a caller bug.
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a colliding value of another function was recorded")
+		}
+	}()
+	r.Add(&Instr{Op: OpConst, ID: sum.ID, Typ: i32, Block: other.Entry()}, foreign)
 }

@@ -6,15 +6,17 @@ import (
 	"dcelens/internal/ir"
 )
 
-// Pooled pass scratch. The hottest function passes (sccp, dce, gvn) run
-// once per function per pass instance, many times per compile unit, and
-// their dense-ID tables used to be the bulk of the middle end's
-// allocations. Each keeps its tables in one state value recycled through
-// its own sync.Pool, under one rule: before a state returns to its pool,
-// every table that holds pointers is cleared over its full capacity, and
-// the state keeps no reference to the function or options it served. A
-// pooled state therefore never pins a finished module, and a state taken
-// from the pool needs only its tables sized.
+// Pooled pass scratch. The hot function passes (sccp, dce, gvn, vrp,
+// licm) run once per function per pass instance, many times per compile
+// unit, and each needs dense-ID tables as large as the function. Each
+// keeps its tables in one state value recycled through its own sync.Pool,
+// and the passes with no other pooled state share a pool of Relocators,
+// all under one rule: before a state returns to its pool, every table that
+// holds pointers is cleared over its full capacity, and the state keeps no
+// reference to the function or options it served. A pooled state
+// therefore never pins a finished module, and a state taken from the pool
+// needs only its tables sized. Campaign workers compile concurrently and
+// share the pools; sync.Pool hands each state to one goroutine at a time.
 
 // resize returns s with length n and every element zero, reusing its
 // backing array when it is large enough. A new array gets a quarter more
