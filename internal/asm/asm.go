@@ -216,40 +216,20 @@ func appendParamReg(out []byte, i int) []byte {
 	return append(strconv.AppendInt(out, int64(8*(i-len(paramRegs))), 10), "(%rsp)"...)
 }
 
+// mnemonics names the instruction of each binary operator; an operator
+// with no entry prints as "op".
+var mnemonics = [...]string{
+	token.Plus: "add", token.Minus: "sub", token.Star: "imul",
+	token.Slash: "idiv", token.Percent: "irem",
+	token.Amp: "and", token.Pipe: "or", token.Caret: "xor",
+	token.Shl: "shl", token.Shr: "shr",
+	token.EqEq: "sete", token.NotEq: "setne",
+	token.Lt: "setl", token.Gt: "setg", token.Le: "setle", token.Ge: "setge",
+}
+
 func mnemonic(op token.Kind) string {
-	switch op {
-	case token.Plus:
-		return "add"
-	case token.Minus:
-		return "sub"
-	case token.Star:
-		return "imul"
-	case token.Slash:
-		return "idiv"
-	case token.Percent:
-		return "irem"
-	case token.Amp:
-		return "and"
-	case token.Pipe:
-		return "or"
-	case token.Caret:
-		return "xor"
-	case token.Shl:
-		return "shl"
-	case token.Shr:
-		return "shr"
-	case token.EqEq:
-		return "sete"
-	case token.NotEq:
-		return "setne"
-	case token.Lt:
-		return "setl"
-	case token.Gt:
-		return "setg"
-	case token.Le:
-		return "setle"
-	case token.Ge:
-		return "setge"
+	if uint(op) < uint(len(mnemonics)) && mnemonics[op] != "" {
+		return mnemonics[op]
 	}
 	return "op"
 }
