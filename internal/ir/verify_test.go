@@ -297,8 +297,30 @@ func TestRelocator(t *testing.T) {
 		t.Fatalf("Apply after Reset: ret arg v%d, want v%d", ret.Args[0].ID, hi.ID)
 	}
 
+	// Reset zeroes the whole table however its mappings arrived: out of ID
+	// order, and across a grow that copied the earlier ones.
+	r.Add(late[250], v[1])
+	r.Add(v[2], v[0])
+	n := len(r.slots)
+	past := b.NewInstr(OpConst, i32) // its ID is past the table
+	r.Add(past, late[10])
+	if len(r.slots) <= n {
+		t.Fatalf("Add of v%d did not grow the %d-slot table", past.ID, n)
+	}
+	r.Add(late[5], v[3])
+	r.Reset()
+	if !r.Empty() {
+		t.Fatal("Reset left the relocator non-empty")
+	}
+	for i, s := range r.slots[:cap(r.slots)] {
+		if s != (relocSlot{}) {
+			t.Fatalf("slot %d holds v%d after Reset", i, s.old.ID)
+		}
+	}
+
 	// A Relocator serves one function at a time: recording a value of
 	// another function whose ID is already mapped is a caller bug.
+	r.Add(sum, hi)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("a colliding value of another function was recorded")
