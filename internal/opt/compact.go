@@ -83,10 +83,9 @@ func compactFunc(f *ir.Func, o Options) bool {
 	if removeUnreachable(f) {
 		changed = true
 	}
-	if changed && o.RemarksOn() {
-		// One summary remark per changed visit: compact fires on nearly
-		// every function, so per-fold remarks would be pure noise.
-		o.applied(f, "normalize", "folded constants, collapsed constant branches, pruned unreachable blocks")
+	if changed {
+		// One count per changed visit, not per fold.
+		o.applied()
 	}
 	return changed
 }

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"fmt"
 	"sync"
 
 	"dcelens/internal/ir"
@@ -31,20 +30,16 @@ func dceFunc(f *ir.Func, o Options) bool {
 		}
 	}
 	sc := dcePool.Get().(*dceScratch)
-	removed, changed := sc.sweep(f)
+	changed := sc.sweep(f)
 	sc.release()
-	if !changed {
-		return false
+	if changed {
+		o.applied()
 	}
-	if o.RemarksOn() {
-		o.applied(f, fmt.Sprintf("removed %d dead values", removed), "")
-	}
-	return true
+	return changed
 }
 
-// sweep deletes f's dead values, reporting how many of them its blocks
-// held and whether it found any.
-func (sc *dceScratch) sweep(f *ir.Func) (removed int, changed bool) {
+// sweep deletes f's dead values, reporting whether it found any.
+func (sc *dceScratch) sweep(f *ir.Func) bool {
 	// Use counts over the whole function, dense by instruction ID.
 	n := f.NumValues()
 	sc.uses = resize(sc.uses, n)
@@ -76,7 +71,7 @@ func (sc *dceScratch) sweep(f *ir.Func) (removed int, changed bool) {
 		}
 	}
 	if len(sc.work) == 0 {
-		return 0, false
+		return false
 	}
 	sc.dead = resize(sc.dead, n)
 	dead := sc.dead
@@ -99,13 +94,11 @@ func (sc *dceScratch) sweep(f *ir.Func) (removed int, changed bool) {
 		for _, in := range b.Instrs {
 			if !dead[in.ID] {
 				keep = append(keep, in)
-			} else {
-				removed++
 			}
 		}
 		b.Instrs = keep
 	}
-	return removed, true
+	return true
 }
 
 // dceScratch is dce's pooled per-run state (see scratch.go).

@@ -106,9 +106,7 @@ func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
 			inv.Func(l.Block.Func)
 			changed = true
 			forwarded = true
-			if o.RemarksOn() {
-				o.applied(l.Block.Func, "load "+g.Name, "forwarded the module's single store across blocks")
-			}
+			o.applied()
 		}
 		if forwarded && (v.Op == ir.OpGlobalAddr || v.Op == ir.OpGEP) {
 			// Uses of the deleted loads now reference an address value
@@ -251,9 +249,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 				}
 			}
 			if forwarded {
-				if g.o.RemarksOn() {
-					g.o.applied(b.Func, loadSubject(in), "forwarded from an available store or load")
-				}
+				g.o.applied()
 				continue // drop the load
 			}
 			avail = append(avail, memEntry{loc, in})
@@ -304,10 +300,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 				if rep, ok := g.table[key]; ok {
 					g.reloc.Add(in, rep)
 					changed = true
-					if g.o.RemarksOn() {
-						g.o.applied(b.Func, fmt.Sprintf("cse v%d (%s)", in.ID, in.Op),
-							"replaced by a dominating equivalent value")
-					}
+					g.o.applied()
 					continue // drop the duplicate
 				}
 				g.table[key] = in

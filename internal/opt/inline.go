@@ -41,9 +41,7 @@ func inline(m *ir.Module, o Options, inv *Invalidation) bool {
 			inlineCall(caller, call)
 			grown += funcSize(call.Callee)
 			changed = true
-			if o.RemarksOn() {
-				o.applied(caller, "call "+call.Callee.Name, "inlined the callee body at the call site")
-			}
+			o.applied()
 			// Splicing mutates only the caller; callee bodies are read,
 			// never written, so callers are the precise invalidation set.
 			inv.Func(caller)

@@ -57,9 +57,7 @@ func ipsccp(m *ir.Module, o Options, inv *Invalidation) bool {
 		} else if o.ConstArrayLoadFold {
 			if propagateConstArray(m, g, ai, inv) {
 				changed = true
-				if o.RemarksOn() {
-					o.appliedModule("global "+g.Name, "folded loads from the constant array")
-				}
+				o.applied()
 			}
 		}
 	}
@@ -235,9 +233,7 @@ func propagateScalar(m *ir.Module, g *ir.Global, o Options, ai *accessIndex, inv
 			return false
 		}
 		if propagatePointerGlobal(m, g, ai, inv) {
-			if o.RemarksOn() {
-				o.appliedModule("global "+g.Name, "folded loads of the never-stored pointer global to its address constant")
-			}
+			o.applied()
 			// The folded loads became fresh OpGlobalAddr/OpGEP values whose
 			// uses are new accesses of the target global — reindex so a
 			// later-iterated global sees them, exactly as the per-global
@@ -306,13 +302,10 @@ func propagateScalar(m *ir.Module, g *ir.Global, o Options, ai *accessIndex, inv
 			s.Remove()
 			inv.Func(s.Block.Func)
 		}
-		if o.RemarksOn() {
-			o.appliedModule("global "+g.Name,
-				fmt.Sprintf("deleted %d redundant stores of the invariant value", len(stores)))
-		}
+		o.applied()
 	}
-	if o.RemarksOn() && len(foldable) > 0 {
-		o.appliedModule("global "+g.Name, fmt.Sprintf("folded %d loads to the constant value", len(foldable)))
+	if len(foldable) > 0 {
+		o.applied()
 	}
 	return len(foldable) > 0 || deleteStores
 }

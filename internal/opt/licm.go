@@ -253,9 +253,7 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, defined *[]bool) 
 				definedInLoop[in.ID] = false
 				moved = true
 				changed = true
-				if o.RemarksOn() {
-					o.applied(f, fmt.Sprintf("hoist v%d (%s)", in.ID, in.Op), "loop-invariant; moved to preheader")
-				}
+				o.applied()
 			}
 		}
 		if !moved {

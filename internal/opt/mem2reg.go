@@ -46,9 +46,7 @@ func mem2regFunc(f *ir.Func, o Options) bool {
 	reloc := getRelocator()
 	for _, a := range cands {
 		promote(f, a, dt, df, reach, reloc)
-		if o.RemarksOn() {
-			o.applied(f, fmt.Sprintf("alloca v%d", a.ID), "promoted to SSA registers")
-		}
+		o.applied()
 	}
 	reloc.Apply(f)
 	putRelocator(reloc)

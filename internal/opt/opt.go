@@ -122,8 +122,8 @@ type Options struct {
 	// verification plus the semantic execution checks.
 	VerifyEachPass bool
 
-	// remarks carries the remark sink and the executing pass instance's
-	// position (see remark.go). Set only by ObservedPipeline, and only
+	// remarks carries the remark sink plus the executing pass instance's
+	// position and applied count (see remark.go). Set only by ObservedPipeline, and only
 	// when the observer implements RemarkSink; nil otherwise, so every
 	// emission helper is one pointer comparison on the uninstrumented
 	// path. Unexported: it is pipeline plumbing, not a personality knob,
@@ -197,6 +197,9 @@ type PassStats struct {
 	// FuncsSkipped counts defined functions skipped as unchanged since the
 	// pass last saw them.
 	FuncsSkipped int
+	// Applied counts the transformations the instance applied. It is
+	// counted only while the observer is a RemarkSink (zero otherwise).
+	Applied int
 }
 
 // Observer watches pass execution inside a Pipeline run. A nil observer
@@ -411,7 +414,7 @@ func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs 
 				start = time.Now()
 			}
 			if o.remarks != nil {
-				o.remarks.pass, o.remarks.index, o.remarks.iter = p.Name, i, iter
+				*o.remarks = remarkCtx{sink: o.remarks.sink, pass: p.Name, index: i, iter: iter}
 			}
 			var passChanged bool
 			var st PassStats
@@ -425,6 +428,9 @@ func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs 
 			}
 			if obs != nil {
 				st.Duration = time.Since(start)
+				if o.remarks != nil {
+					st.Applied = o.remarks.applied
+				}
 				obs.AfterPass(m, p.Name, i, iter, st)
 			}
 			if o.VerifyEachPass {

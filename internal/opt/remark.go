@@ -4,51 +4,25 @@ import "dcelens/internal/ir"
 
 // This file is the emission side of the optimization-remarks subsystem:
 // every pass reports, through the Options value it already receives, what
-// it applied, what it considered and rejected (with a machine-readable
-// reason), and what analysis facts it computed. The collection side lives
-// in internal/remark; the seam is the RemarkSink interface below, detected
-// on the pipeline observer, so that — exactly like the Observer seam — opt
-// never imports the consumer. With no sink attached every emission helper
-// is one pointer comparison, keeping uninstrumented compilations
-// indistinguishable from the pre-remarks pipeline.
+// it considered and rejected (with a machine-readable reason) and what
+// analysis facts it computed, and counts the transformations it applied.
+// The collection side lives in internal/remark; the seam is the
+// RemarkSink interface below, detected on the pipeline observer, so that —
+// exactly like the Observer seam — opt never imports the consumer. With no
+// sink attached every emission helper is one pointer comparison, keeping
+// uninstrumented compilations indistinguishable from the pre-remarks
+// pipeline.
 
 // RemarkKind classifies a remark.
 type RemarkKind uint8
 
 const (
-	// RemarkApplied records a transformation that fired.
-	RemarkApplied RemarkKind = iota
 	// RemarkMissed records a transformation that was considered and
 	// rejected; Remark.Reason says why.
-	RemarkMissed
+	RemarkMissed RemarkKind = iota
 	// RemarkAnalysis records a computed fact (no transformation).
 	RemarkAnalysis
 )
-
-var remarkKindNames = [...]string{"applied", "missed", "analysis"}
-
-func (k RemarkKind) String() string {
-	if int(k) < len(remarkKindNames) {
-		return remarkKindNames[k]
-	}
-	return "unknown"
-}
-
-// MarshalText renders the kind as its lower-case name, so remarks
-// serialize readably in JSON artifacts.
-func (k RemarkKind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
-
-// UnmarshalText parses the lower-case kind name.
-func (k *RemarkKind) UnmarshalText(b []byte) error {
-	for i, n := range remarkKindNames {
-		if n == string(b) {
-			*k = RemarkKind(i)
-			return nil
-		}
-	}
-	*k = RemarkAnalysis
-	return nil
-}
 
 // Reason is a machine-readable rejection code attached to Missed remarks.
 // The vocabulary is closed: downstream consumers (dce-explain, the
@@ -92,19 +66,21 @@ const (
 // Remark is one structured optimization decision. The struct is
 // comparable; internal/remark deduplicates re-emissions across fixpoint
 // iterations by comparing remarks with the position fields zeroed.
+// Transformations that fired are not remarks: each pass instance counts
+// them, and ObservedPipeline reports the count as PassStats.Applied.
 type Remark struct {
-	Kind RemarkKind `json:"kind"`
-	Pass string     `json:"pass"`
+	Kind RemarkKind
+	Pass string
 	// ScheduleIndex and Iteration locate the emitting pass instance,
 	// mirroring Observer.AfterPass.
-	ScheduleIndex int `json:"schedule_index"`
-	Iteration     int `json:"iteration"`
+	ScheduleIndex int
+	Iteration     int
 	// Fn is the enclosing function; empty for module-scoped decisions
 	// (interprocedural passes, global analysis verdicts).
-	Fn      string `json:"fn,omitempty"`
-	Subject string `json:"subject"`
-	Reason  Reason `json:"reason,omitempty"` // Missed only
-	Detail  string `json:"detail,omitempty"`
+	Fn      string
+	Subject string
+	Reason  Reason // Missed only
+	Detail  string
 }
 
 // RemarkSink receives remarks during an ObservedPipeline run. An observer
@@ -116,18 +92,20 @@ type RemarkSink interface {
 }
 
 // remarkCtx threads the sink plus the executing pass instance's position
-// into pass bodies via the Options value (which is copied by value, so the
-// shared pointer is what keeps the position current).
+// and applied count into pass bodies via the Options value (which is
+// copied by value, so the shared pointer is what keeps them current).
 type remarkCtx struct {
-	sink  RemarkSink
-	pass  string
-	index int
-	iter  int
+	sink    RemarkSink
+	pass    string
+	index   int
+	iter    int
+	applied int
 }
 
 // RemarksOn reports whether remark emission is enabled. Passes use it to
-// gate scans done purely for remark quality; the emission helpers below
-// already nil-check, so unconditional emissions need no guard.
+// gate scans and subject strings built purely for remarks; the emission
+// helpers below already nil-check, so unconditional emissions need no
+// guard.
 func (o Options) RemarksOn() bool { return o.remarks != nil }
 
 func (o Options) remark(kind RemarkKind, fn, subject string, reason Reason, detail string) {
@@ -147,9 +125,12 @@ func (o Options) remark(kind RemarkKind, fn, subject string, reason Reason, deta
 	})
 }
 
-// applied records a transformation that fired in f.
-func (o Options) applied(f *ir.Func, subject, detail string) {
-	o.remark(RemarkApplied, f.Name, subject, "", detail)
+// applied counts one transformation that fired in the executing pass
+// instance.
+func (o Options) applied() {
+	if c := o.remarks; c != nil {
+		c.applied++
+	}
 }
 
 // missed records a transformation considered and rejected in f.
@@ -157,12 +138,8 @@ func (o Options) missed(f *ir.Func, subject string, reason Reason, detail string
 	o.remark(RemarkMissed, f.Name, subject, reason, detail)
 }
 
-// appliedModule and missedModule are the module-scoped variants
-// (interprocedural passes; included in every function's miss chain).
-func (o Options) appliedModule(subject, detail string) {
-	o.remark(RemarkApplied, "", subject, "", detail)
-}
-
+// missedModule is the module-scoped variant (interprocedural passes;
+// included in every function's miss chain).
 func (o Options) missedModule(subject string, reason Reason, detail string) {
 	o.remark(RemarkMissed, "", subject, reason, detail)
 }

@@ -1,10 +1,12 @@
 // Package remark is the collection side of the optimization-remarks
-// subsystem: internal/opt's passes emit typed remarks (applied /
-// missed-with-reason / analysis) through the opt.RemarkSink seam, and the
-// Collector here gathers them over one compilation, deduplicates fixpoint
-// re-emissions, and reduces them to a Profile — per-pass counters, miss
-// reasons, and the per-marker **nearest-miss chain**: the ordered list of
-// (pass, reason) decisions that kept a surviving marker's code alive.
+// subsystem: internal/opt's passes emit typed remarks (missed-with-reason
+// / analysis) through the opt.RemarkSink seam and count the
+// transformations they applied, which the pipeline reports per pass
+// instance (opt.PassStats.Applied). The Collector here gathers both over
+// one compilation, deduplicates fixpoint re-emissions, and reduces them to
+// a Profile — per-pass counters, miss reasons, and the per-marker
+// **nearest-miss chain**: the ordered list of (pass, reason) decisions
+// that kept a surviving marker's code alive.
 //
 // The chain is what turns a campaign finding from "marker survived" into
 // "marker survived because licm refused to hoist: alias-unknown at the
@@ -28,12 +30,16 @@ const chainCap = 8
 
 // Collector implements opt.Observer and opt.RemarkSink over one
 // compilation. Attach it as core.Hooks.Remarks (or, on a bare pipeline
-// run, as the observer itself); only the collector sees the remarks.
+// run, as the observer itself); only the collector sees the remarks. It
+// keeps every distinct remark, because chains are assembled from them,
+// and only a per-pass tally of applied transformations, whose one reader
+// is the profile's counts.
 type Collector struct {
 	isMarker func(string) bool
 	module   *ir.Module
 	remarks  []opt.Remark
 	seen     map[opt.Remark]struct{}
+	applied  map[string]int // by pass
 }
 
 // NewCollector returns an empty collector; isMarker classifies external
@@ -42,6 +48,7 @@ func NewCollector(isMarker func(string) bool) *Collector {
 	return &Collector{
 		isMarker: isMarker,
 		seen:     make(map[opt.Remark]struct{}, 64),
+		applied:  make(map[string]int, 8),
 		// A mid-sized compilation lands a few hundred remarks; pre-sizing
 		// skips the doubling reallocations of a 112-byte element type.
 		remarks: make([]opt.Remark, 0, 256),
@@ -52,29 +59,27 @@ func NewCollector(isMarker func(string) bool) *Collector {
 // at Profile time it holds the final IR the chains are assembled against.
 func (c *Collector) BeginPipeline(m *ir.Module) { c.module = m }
 
-// AfterPass is a no-op: the collector listens on the remark channel, not
-// the pass-stats channel.
+// AfterPass tallies the pass instance's applied transformations under its
+// pass. A transformation consumes its input (the replaced value, the
+// promoted alloca, the inlined call site), so it cannot re-fire, and no
+// count needs deduplicating.
 func (c *Collector) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration int, st opt.PassStats) {
+	if st.Applied > 0 {
+		c.applied[pass] += st.Applied
+	}
 }
 
 // Remark records one emission. Fixpoint iterations re-derive the same
-// decisions; Missed and Analysis remarks identical up to their pipeline
-// position collapse to the first occurrence, so a chain reads as a
-// sequence of distinct decisions rather than one decision repeated per
-// iteration. Applied remarks skip the dedupe map: a transformation
-// consumes its input (the replaced value, the promoted alloca, the
-// inlined call site), so it cannot re-fire, and Applied carries the bulk
-// of a compilation's remark volume — one map insert per emission there is
-// the difference between a cheap flag and a measurable campaign tax.
+// decisions; remarks identical up to their pipeline position collapse to
+// the first occurrence, so a chain reads as a sequence of distinct
+// decisions rather than one decision repeated per iteration.
 func (c *Collector) Remark(r opt.Remark) {
-	if r.Kind != opt.RemarkApplied {
-		key := r
-		key.ScheduleIndex, key.Iteration = 0, 0
-		if _, dup := c.seen[key]; dup {
-			return
-		}
-		c.seen[key] = struct{}{}
+	key := r
+	key.ScheduleIndex, key.Iteration = 0, 0
+	if _, dup := c.seen[key]; dup {
+		return
 	}
+	c.seen[key] = struct{}{}
 	c.remarks = append(c.remarks, r)
 }
 
@@ -102,7 +107,7 @@ type PassCount struct {
 
 // Profile is the reduced form of one compilation's remarks.
 type Profile struct {
-	// Total is the distinct remark count.
+	// Total counts the distinct remarks plus the applied transformations.
 	Total int `json:"total"`
 	// Passes holds per-pass applied/missed/analysis counts, sorted by
 	// pass name.
@@ -122,15 +127,21 @@ type Profile struct {
 func (c *Collector) Profile() *Profile {
 	p := &Profile{Total: len(c.remarks)}
 	counts := map[string]*PassCount{}
-	for _, r := range c.remarks {
-		pc := counts[r.Pass]
+	count := func(pass string) *PassCount {
+		pc := counts[pass]
 		if pc == nil {
-			pc = &PassCount{Pass: r.Pass}
-			counts[r.Pass] = pc
+			pc = &PassCount{Pass: pass}
+			counts[pass] = pc
 		}
+		return pc
+	}
+	for pass, n := range c.applied {
+		count(pass).Applied = n
+		p.Total += n
+	}
+	for _, r := range c.remarks {
+		pc := count(r.Pass)
 		switch r.Kind {
-		case opt.RemarkApplied:
-			pc.Applied++
 		case opt.RemarkMissed:
 			pc.Missed++
 			if p.Reasons == nil {

@@ -30,8 +30,7 @@ func TestCollectorDedupe(t *testing.T) {
 	other := r
 	other.Subject = "load h"
 	c.Remark(other)
-	applied := opt.Remark{Kind: opt.RemarkApplied, Pass: "gvn", Fn: "f", Subject: "load g"}
-	c.Remark(applied)
+	c.Remark(opt.Remark{Kind: opt.RemarkAnalysis, Pass: "gvn", Fn: "f", Subject: "load g"})
 	if c.Len() != 3 {
 		t.Fatalf("after distinct remarks: Len = %d, want 3", c.Len())
 	}
@@ -40,12 +39,14 @@ func TestCollectorDedupe(t *testing.T) {
 	}
 }
 
-// TestProfileCounts checks the per-pass reduction: applied/missed/analysis
-// tallies, the miss-reason histogram, and pass-name ordering.
+// TestProfileCounts checks the per-pass reduction: applied counts tallied
+// over pass instances, missed/analysis tallies, the miss-reason histogram,
+// and pass-name ordering; a pass with nothing to count is absent.
 func TestProfileCounts(t *testing.T) {
 	c := NewCollector(nil)
-	c.Remark(opt.Remark{Kind: opt.RemarkApplied, Pass: "licm", Fn: "f", Subject: "hoist a"})
-	c.Remark(opt.Remark{Kind: opt.RemarkApplied, Pass: "licm", Fn: "f", Subject: "hoist b"})
+	c.AfterPass(nil, "licm", 3, 0, opt.PassStats{Changed: true, Applied: 1})
+	c.AfterPass(nil, "sccp", 4, 0, opt.PassStats{})
+	c.AfterPass(nil, "licm", 3, 1, opt.PassStats{Changed: true, Applied: 1})
 	c.Remark(missed("licm", "f", "store g", opt.ReasonAliasUnknown))
 	c.Remark(missed("gvn", "f", "load g", opt.ReasonAliasUnknown))
 	c.Remark(missed("gvn", "g", "load h", opt.ReasonCallClobber))
@@ -102,7 +103,7 @@ func TestProfileChains(t *testing.T) {
 	c.BeginPipeline(chainModule())
 	c.Remark(missed("dce", "f", "call DCEMarker0", opt.ReasonSideEffects))
 	c.Remark(missed("gvn", "g", "load h", opt.ReasonCallClobber)) // wrong function
-	c.Remark(opt.Remark{Kind: opt.RemarkApplied, Pass: "licm", Fn: "f", Subject: "hoist a"})
+	c.Remark(opt.Remark{Kind: opt.RemarkAnalysis, Pass: "licm", Fn: "f", Subject: "loop nest"})
 	c.Remark(missed("ipsccp", "", "global g_1", opt.ReasonEscape)) // module scope
 	c.Remark(missed("licm", "f", "store g_1", opt.ReasonLoopCarried))
 
