@@ -379,7 +379,7 @@ func ReplaceAllUses(old, new *Instr) {
 // collides with a mapped one resolves to itself.
 type Relocator struct {
 	slots []relocSlot // by Instr.ID
-	n     int         // occupied slots
+	hi    int         // one past the highest occupied slot; 0 when empty
 }
 
 type relocSlot struct{ old, new *Instr }
@@ -398,14 +398,11 @@ func (r *Relocator) Add(old, new *Instr) {
 		r.grow(old)
 	}
 	s := &r.slots[old.ID]
-	switch s.old {
-	case nil:
-		r.n++
-	case old:
-	default:
+	if s.old != nil && s.old != old {
 		panic("ir: Relocator: values of two functions share an ID")
 	}
 	s.old, s.new = old, n
+	r.hi = max(r.hi, old.ID+1)
 }
 
 // grow extends the table to cover v's ID, sized for every value of v's
@@ -416,7 +413,7 @@ func (r *Relocator) grow(v *Instr) {
 		n = max(n, v.Block.Func.NumValues())
 	}
 	slots := make([]relocSlot, n)
-	copy(slots, r.slots)
+	copy(slots, r.slots[:r.hi])
 	r.slots = slots
 }
 
@@ -443,11 +440,11 @@ func (r *Relocator) Resolve(v *Instr) *Instr {
 }
 
 // Empty reports whether no replacements are pending.
-func (r *Relocator) Empty() bool { return r.n == 0 }
+func (r *Relocator) Empty() bool { return r.hi == 0 }
 
 // Apply rewrites every argument slot in f through the pending replacements.
 func (r *Relocator) Apply(f *Func) {
-	if r.n == 0 {
+	if r.hi == 0 {
 		return
 	}
 	for _, b := range f.Blocks {
@@ -461,13 +458,14 @@ func (r *Relocator) Apply(f *Func) {
 	}
 }
 
-// Reset clears pending replacements, retaining the table for reuse. Every
-// slot is zero afterwards, so a reset Relocator references no values.
+// Reset clears pending replacements, retaining the table for reuse. Only
+// the slots below hi can be occupied, so that prefix is all it clears;
+// every slot is zero afterwards, so a reset Relocator references no
+// values. A table sized for a large function thus costs a small one
+// nothing.
 func (r *Relocator) Reset() {
-	if r.n > 0 { // with no occupied slot, the table is already zero
-		clear(r.slots)
-		r.n = 0
-	}
+	clear(r.slots[:r.hi])
+	r.hi = 0
 }
 
 // CountUses returns the number of operand slots referencing in.

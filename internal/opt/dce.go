@@ -31,14 +31,15 @@ func dceFunc(f *ir.Func, o Options) bool {
 	}
 	sc := dcePool.Get().(*dceScratch)
 	changed := sc.sweep(f)
-	sc.release()
+	dcePool.Put(sc)
 	if changed {
 		o.applied()
 	}
 	return changed
 }
 
-// sweep deletes f's dead values, reporting whether it found any.
+// sweep deletes f's dead values, reporting whether it found any. It
+// leaves the worklist empty, each popped slot zeroed (see scratch.go).
 func (sc *dceScratch) sweep(f *ir.Func) bool {
 	// Use counts over the whole function, dense by instruction ID.
 	n := f.NumValues()
@@ -76,8 +77,7 @@ func (sc *dceScratch) sweep(f *ir.Func) bool {
 	sc.dead = resize(sc.dead, n)
 	dead := sc.dead
 	for len(sc.work) > 0 {
-		in := sc.work[len(sc.work)-1]
-		sc.work = sc.work[:len(sc.work)-1]
+		in := pop(&sc.work)
 		if dead[in.ID] {
 			continue
 		}
@@ -109,8 +109,3 @@ type dceScratch struct {
 }
 
 var dcePool = sync.Pool{New: func() any { return new(dceScratch) }}
-
-func (sc *dceScratch) release() {
-	sc.work = clearAll(sc.work)
-	dcePool.Put(sc)
-}

@@ -139,14 +139,13 @@ func gvnFunc(f *ir.Func, o Options) bool {
 }
 
 // release clears the state under the pooled-scratch rule (scratch.go) and
-// returns it to its pool.
+// returns it to its pool. The walk leaves scope empty.
 func (g *gvnState) release() {
 	g.o, g.ac = Options{}, nil
 	clear(g.table)
 	clear(g.typeIDs)
 	clear(g.typeStr)
-	g.scope = clearAll(g.scope)
-	g.avail = clearAll(g.avail)
+	g.avail = shrink(g.avail, 0)
 	g.reloc.Reset()
 	gvnPool.Put(g)
 }
@@ -209,7 +208,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 	mark := len(g.scope)
 
 	// Block-local memory state for forwarding.
-	avail := g.avail[:0]
+	avail := shrink(g.avail, 0)
 	// invalidate reports how many forwarding candidates it killed, so the
 	// call-clobber remark can say what was lost.
 	invalidate := func(pred func(Loc) bool) int {
@@ -220,7 +219,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 			}
 		}
 		n := len(avail) - len(kept)
-		avail = kept
+		avail = shrink(avail, len(kept))
 		return n
 	}
 
@@ -280,7 +279,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 				}
 			} else {
 				killed := len(avail)
-				avail = avail[:0] // internal call: no mod/ref summary
+				avail = shrink(avail, 0) // internal call: no mod/ref summary
 				if killed > 0 && g.o.RemarksOn() {
 					subject := "call"
 					if in.Callee != nil {
@@ -320,7 +319,7 @@ func (g *gvnState) walk(b *ir.Block, dt *ir.DomTree) bool {
 	for _, k := range g.scope[mark:] {
 		delete(g.table, k)
 	}
-	g.scope = g.scope[:mark]
+	g.scope = shrink(g.scope, mark)
 	return changed
 }
 

@@ -31,14 +31,12 @@ func sccpFunc(f *ir.Func, o Options) bool {
 }
 
 // release clears the state under the pooled-scratch rule (scratch.go) and
-// returns it to its pool.
+// returns it to its pool. solve leaves both worklists empty.
 func (s *sccpState) release() {
 	s.f, s.opts = nil, Options{}
-	s.lat = clearAll(s.lat)
-	s.userData = clearAll(s.userData)
-	s.flowWork = clearAll(s.flowWork)
-	s.ssaWork = clearAll(s.ssaWork)
-	s.snapshot = clearAll(s.snapshot)
+	s.lat = shrink(s.lat, 0)
+	s.userData = shrink(s.userData, 0)
+	s.snapshot = shrink(s.snapshot, 0)
 	s.reloc.Reset()
 	sccpPool.Put(s)
 }
@@ -169,15 +167,13 @@ func (s *sccpState) solve() {
 	s.markBlock(s.f.Entry())
 	for len(s.flowWork) > 0 || len(s.ssaWork) > 0 {
 		for len(s.ssaWork) > 0 {
-			in := s.ssaWork[len(s.ssaWork)-1]
-			s.ssaWork = s.ssaWork[:len(s.ssaWork)-1]
+			in := pop(&s.ssaWork)
 			if s.blockExec[in.Block.ID] {
 				s.visit(in)
 			}
 		}
 		for len(s.flowWork) > 0 {
-			e := s.flowWork[len(s.flowWork)-1]
-			s.flowWork = s.flowWork[:len(s.flowWork)-1]
+			e := pop(&s.flowWork)
 			if !s.markEdgeExec(e[0], e[1]) {
 				continue
 			}
@@ -414,6 +410,8 @@ func (s *sccpState) apply() bool {
 			}
 			return in // unreachable: a block always has a terminator
 		}
+		// A shorter block drops the snapshot's tail: zero it first.
+		clear(s.snapshot[min(len(s.snapshot), len(b.Instrs)):])
 		s.snapshot = append(s.snapshot[:0], b.Instrs...)
 		for _, in := range s.snapshot {
 			v := s.lat[in.ID]
