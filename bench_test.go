@@ -557,11 +557,13 @@ func BenchmarkSpanOverhead(b *testing.B) {
 // BenchmarkRemarkOverhead measures what remark collection costs a
 // campaign: the "off" case runs a small serial campaign bare, the "on"
 // case runs the identical campaign with Options.Remarks — every pass
-// emitting applied/missed remarks, the collector deduplicating them, and
-// each seed's profile reduced to chains and summaries. With remarks off
-// the emission seam is one pointer comparison per decision, so "off" must
-// stay indistinguishable from the pre-remarks pipeline (~3% budget,
-// smoke-tested by scripts/check.sh).
+// emitting missed/analysis remarks and counting what it applied, the
+// collector deduplicating the remarks, and each seed's profile reduced to
+// chains and summaries. With remarks off the emission seam is one pointer
+// comparison per decision, so "off" must stay indistinguishable from the
+// pre-remarks pipeline. Both arms report allocations: scripts/check.sh
+// gates their on/off ratio, which unlike wall time is nearly
+// deterministic.
 func BenchmarkRemarkOverhead(b *testing.B) {
 	const programs = 8
 	run := func(b *testing.B, remarks bool) {
@@ -577,11 +579,13 @@ func BenchmarkRemarkOverhead(b *testing.B) {
 		}
 	}
 	b.Run("off", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run(b, false)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run(b, true)
 		}

@@ -123,11 +123,12 @@ type Options struct {
 	VerifyEachPass bool
 
 	// remarks carries the remark sink plus the executing pass instance's
-	// position and applied count (see remark.go). Set only by ObservedPipeline, and only
-	// when the observer implements RemarkSink; nil otherwise, so every
-	// emission helper is one pointer comparison on the uninstrumented
-	// path. Unexported: it is pipeline plumbing, not a personality knob,
-	// and must never differ between Options values being compared.
+	// position and applied count (see remark.go). Set only by
+	// ObservedPipeline, and only when the observer implements RemarkSink;
+	// nil otherwise, so every emission helper is one pointer comparison on
+	// the uninstrumented path. Unexported: it is pipeline plumbing, not a
+	// personality knob, and must never differ between Options values being
+	// compared.
 	remarks *remarkCtx
 }
 

@@ -70,7 +70,7 @@ func TestPooledScratchZero(t *testing.T) {
 	}
 	passes := []Pass{Compact, Mem2Reg, IPSCCP, SCCP, InstCombine, SimplifyCFG, Inline,
 		LICM, GVN, VRP, DCE, Unroll, SCCP, InstCombine, GVN, DCE, SimplifyCFG}
-	for seed := int64(1); seed <= 12; seed++ {
+	compile := func(seed int64) {
 		ins, err := instrument.Instrument(cgen.Generate(cgen.DefaultConfig(seed)), instrument.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -88,23 +88,42 @@ func TestPooledScratchZero(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
+	// drain takes every state out of pool.
+	drain := func(pool *sync.Pool) []any {
+		newState := pool.New
+		pool.New = nil // Get returns nil once the pool is empty
+		var states []any
+		for x := pool.Get(); x != nil; x = pool.Get() {
+			states = append(states, x)
+		}
+		pool.New = newState
+		return states
+	}
 
+	var seed int64
+	for seed < 12 {
+		seed++
+		compile(seed)
+	}
 	for _, p := range []struct {
 		name string
 		pool *sync.Pool
 	}{{"sccp", &sccpPool}, {"dce", &dcePool}, {"gvn", &gvnPool}, {"relocator", &relocPool}} {
-		newState := p.pool.New
-		p.pool.New = nil // Get returns nil once the pool is drained
-		taken := 0
-		for x := p.pool.Get(); x != nil; x = p.pool.Get() {
-			taken++
+		states := drain(p.pool)
+		// The race detector makes sync.Pool drop a quarter of all Puts,
+		// so the pool may hold nothing; compile until it does.
+		for tries := 0; len(states) == 0 && tries < 30; tries++ {
+			seed++
+			compile(seed)
+			states = drain(p.pool)
+		}
+		if len(states) == 0 {
+			t.Errorf("the %s pool held no state after the passes ran", p.name)
+		}
+		for _, x := range states {
 			if path, ok := pinnedSlot(reflect.ValueOf(x).Elem()); ok {
 				t.Errorf("pooled %s state references memory at %s", p.name, path)
 			}
-		}
-		p.pool.New = newState
-		if taken == 0 {
-			t.Errorf("the %s pool held no state after the passes ran", p.name)
 		}
 	}
 }
