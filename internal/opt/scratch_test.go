@@ -14,13 +14,13 @@ import (
 	"dcelens/internal/lower"
 )
 
-// remarkCounter is an observer that is also a remark sink, so a pipeline
-// run under it takes the passes' remark paths too.
-type remarkCounter struct{ n int }
+// remarkSink is an observer that is also a remark sink, so a pipeline run
+// under it takes the passes' remark paths too.
+type remarkSink struct{}
 
-func (*remarkCounter) BeginPipeline(*ir.Module)                          {}
-func (*remarkCounter) AfterPass(*ir.Module, string, int, int, PassStats) {}
-func (c *remarkCounter) Remark(Remark)                                   { c.n++ }
+func (remarkSink) BeginPipeline(*ir.Module)                          {}
+func (remarkSink) AfterPass(*ir.Module, string, int, int, PassStats) {}
+func (remarkSink) Remark(Remark)                                     {}
 
 // pinnedSlot returns the path of the first slot in v that references
 // memory: a non-nil pointer, interface, func or channel, a non-empty
@@ -82,7 +82,7 @@ func TestPooledScratchZero(t *testing.T) {
 		// Odd seeds run with remarks on, even ones without.
 		var obs Observer
 		if seed%2 == 1 {
-			obs = &remarkCounter{}
+			obs = remarkSink{}
 		}
 		if err := ObservedPipeline(m, o, passes, 2, obs); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
