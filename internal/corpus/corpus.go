@@ -59,11 +59,11 @@ type Options struct {
 	// EliminationsPerPass. Adds one IR scan per executed pass.
 	Trace bool
 	// Remarks attaches a remark collector (internal/remark) to every
-	// compilation: passes emit applied/missed/analysis remarks through the
-	// opt.RemarkSink seam, each finding carries its nearest-miss chain, and
-	// seed outcomes summarize per-pass counts and miss reasons. Off, the
-	// remark seam costs one nil check per pass (see
-	// BenchmarkRemarkOverhead).
+	// compilation: passes emit missed/analysis remarks through the
+	// opt.RemarkSink seam and count the transformations they applied, each
+	// finding carries its nearest-miss chain, and seed outcomes summarize
+	// per-pass counts and miss reasons. Off, the remark seam costs one nil
+	// check per pass (see BenchmarkRemarkOverhead).
 	Remarks bool
 	// Workers bounds parallelism; <= 0 means GOMAXPROCS.
 	Workers int
@@ -310,9 +310,10 @@ type Stats struct {
 	LevelPrimary map[pipeline.Personality]int
 
 	// Remark aggregation (campaigns run with Options.Remarks; nil maps
-	// otherwise). RemarkApplied and RemarkMissed count remarks per pass
-	// across every configuration of every analyzable seed; RemarkReasons
-	// histograms the Missed remarks by reason code.
+	// otherwise). RemarkApplied counts applied transformations and
+	// RemarkMissed missed remarks per pass, across every configuration of
+	// every analyzable seed; RemarkReasons histograms the Missed remarks by
+	// reason code.
 	RemarkApplied map[string]int
 	RemarkMissed  map[string]int
 	RemarkReasons map[string]int
