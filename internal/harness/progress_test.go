@@ -1,6 +1,9 @@
 package harness
 
 import (
+	"bytes"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -77,5 +80,52 @@ func TestProgressETA(t *testing.T) {
 	reg.Counter(metrics.CounterSeedsAnalyzed).Add(2)
 	if eta, ok := p.ETA(); !ok || eta != 0 {
 		t.Fatalf("finished eta = %v/%v, want 0/true", eta, ok)
+	}
+}
+
+// heartbeatLine is the one shape of a heartbeat line: the perf figures
+// appear once units flow, the skip rate once a pass has run.
+var heartbeatLine = regexp.MustCompile(`^t: \d+/\d+ seeds, [\d.]+ seeds/s, \d+ findings, \d+ crashes, \d+ timeouts(, [\d.]+ units/s(, \d+% skipped)?)?, ETA \S+$`)
+
+// TestHeartbeatLineFormat renders the heartbeat at each stage of a
+// campaign, from no seed done to all done, and matches every line against
+// the one format.
+func TestHeartbeatLineFormat(t *testing.T) {
+	reg := metrics.New()
+	p := NewProgress(4, 2, reg)
+	var buf bytes.Buffer
+	render := func() {
+		stop := (&metrics.Heartbeat{Reg: reg, Total: 4, Out: &buf, Interval: time.Hour, Tool: "t", Progress: p}).Start()
+		stop()
+	}
+	render()
+	reg.Counter(metrics.CounterSeedsAnalyzed).Add(2)
+	reg.Counter(metrics.CounterCrashes).Inc()
+	reg.Counter(metrics.CounterUnits).Add(6)
+	reg.Histogram(metrics.HistCampaignSeed).Observe(10 * time.Millisecond)
+	p.AddFindings("f")
+	render()
+	reg.Counter(metrics.CounterPassVisited).Add(3)
+	reg.Counter(metrics.CounterPassSkipped).Inc()
+	render()
+	reg.Counter(metrics.CounterSeedsAnalyzed).Add(2)
+	render()
+
+	lines := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(lines) != 4 {
+		t.Fatalf("rendered %d lines, want 4:\n%s", len(lines), buf.String())
+	}
+	for _, l := range lines {
+		if !heartbeatLine.MatchString(l) {
+			t.Errorf("heartbeat line %q does not match %s", l, heartbeatLine)
+		}
+	}
+	for i, want := range []string{"0/4 seeds", "1 findings, 1 crashes", "25% skipped", "4/4 seeds"} {
+		if !strings.Contains(lines[i], want) {
+			t.Errorf("line %d = %q, want %q in it", i, lines[i], want)
+		}
+	}
+	if !strings.HasSuffix(lines[3], "ETA done") {
+		t.Errorf("finished campaign line = %q, want ETA done", lines[3])
 	}
 }

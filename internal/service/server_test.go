@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -8,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"dcelens/internal/harness"
+	"dcelens/internal/metrics"
 	"dcelens/internal/monitor"
 	"dcelens/internal/span"
 )
@@ -397,4 +400,80 @@ func TestHTTPProgressAndTimeline(t *testing.T) {
 	if missing := do(t, s, http.MethodGet, "/jobs/nope/progress", ""); missing.Code != http.StatusNotFound {
 		t.Fatalf("unknown job progress = %d, want 404", missing.Code)
 	}
+}
+
+// jsonKeys returns the top-level keys of a JSON object body, in the order
+// they were written.
+func jsonKeys(t *testing.T, what string, body []byte) []string {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("%s: %q is not a JSON object", what, body)
+	}
+	var keys []string
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		keys = append(keys, tok.(string))
+		var value json.RawMessage
+		if err := dec.Decode(&value); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	return keys
+}
+
+// TestLiveSurfaceKeys pins the JSON shape of every live campaign view: the
+// keys of the monitor's /progress and /metrics?format=json, of its derived
+// gauges, and of the service's /jobs/{id}/progress, in the order served.
+func TestLiveSurfaceKeys(t *testing.T) {
+	progressKeys := []string{"seeds_total", "seeds_done", "workers", "findings", "failures",
+		"elapsed_ms", "eta_ms", "eta_known", "units", "units_per_sec", "pass_skip_rate", "pass_skip_known"}
+	derivedKeys := []string{"units_per_sec", "pass_skip_rate", "pass_skip_known"}
+	check := func(what string, body []byte, want []string) {
+		t.Helper()
+		if got := jsonKeys(t, what, body); strings.Join(got, ",") != strings.Join(want, ",") {
+			t.Errorf("%s keys = %v, want %v", what, got, want)
+		}
+	}
+	get := func(h http.Handler, path string) []byte {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s = %d (%s)", path, rec.Code, rec.Body.String())
+		}
+		return rec.Body.Bytes()
+	}
+
+	// A wall-clock campaign also serves per-worker occupancy, last.
+	reg := metrics.New()
+	reg.Counter(metrics.CounterUnits).Add(4)
+	reg.Gauge("campaign.workers").Set(2)
+	reg.Histogram(metrics.HistCampaignSeed).Observe(time.Millisecond)
+	p := harness.NewProgress(10, 2, reg)
+	time.Sleep(time.Millisecond) // occupancy needs elapsed time
+	mon := monitor.New("dce-test", reg, p, nil).Handler()
+	check("/progress", get(mon, "/progress"), append(progressKeys, "worker_occupancy"))
+	body := get(mon, "/metrics?format=json")
+	check("/metrics?format=json", body, []string{"counters", "gauges", "histograms", "derived"})
+	var reply map[string]json.RawMessage
+	if err := json.Unmarshal(body, &reply); err != nil {
+		t.Fatal(err)
+	}
+	check("derived", reply["derived"], append(derivedKeys, "worker_occupancy"))
+
+	// Job registries are deterministic, so no occupancy.
+	s, _ := newTestServer(t, Limits{Executors: 1}, true)
+	if rec := do(t, s, http.MethodPost, "/jobs",
+		`{"programs": 1, "base_seed": 1, "personalities": ["gcc"], "levels": ["O1"]}`); rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d (%s)", rec.Code, rec.Body.String())
+	}
+	j, _ := s.Engine.Job("job-1")
+	if st := waitTerminal(t, j); st != StateDone {
+		t.Fatalf("job ended %s", st)
+	}
+	check("/jobs/job-1/progress", get(s.Handler(), "/jobs/job-1/progress"), progressKeys)
 }
