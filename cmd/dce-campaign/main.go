@@ -134,7 +134,7 @@ func main() {
 	default:
 		cli.Usagef(tool, "unknown -metrics mode %q (want off, wall, or deterministic)", *metricsMode)
 	}
-	showHeartbeat := !*quiet && metrics.StderrIsTerminal()
+	showHeartbeat := !*quiet && harness.StderrIsTerminal()
 	if (showHeartbeat || mon.Serving()) && reg == nil {
 		// The heartbeat and the monitor read progress counters, so they
 		// need a registry even when the report section stays off.
@@ -200,8 +200,7 @@ func main() {
 
 	stopHeartbeat := func() {}
 	if showHeartbeat {
-		hb := &metrics.Heartbeat{Reg: reg, Total: liveTotal, Out: os.Stderr, Interval: *hbInterval, Tool: tool, Progress: prog}
-		stopHeartbeat = hb.Start()
+		stopHeartbeat = prog.Heartbeat(os.Stderr, *hbInterval, tool)
 	}
 
 	if opts.Shard.Sharded() {

@@ -474,9 +474,10 @@ func ReportTimeline(p *SpanProfile) string { return report.Timeline(p) }
 // ---------------------------------------------------------------------------
 // Live monitoring and run history
 
-// CampaignProgress is the live, lock-guarded view of a running campaign
-// (CampaignOptions.Progress): seeds done, findings so far, failure counts,
-// and the ETA shared by the heartbeat and the monitor server.
+// CampaignProgress is the live, lock-guarded record of a running campaign
+// (CampaignOptions.Progress): its View — seeds done, findings so far,
+// failure counts, the ETA and the derived rates — is what the heartbeat
+// and the monitor server render.
 type CampaignProgress = harness.Progress
 
 // NewCampaignProgress starts tracking a campaign of total seeds on workers

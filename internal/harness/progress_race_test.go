@@ -19,15 +19,16 @@ func (c *lineCounter) Write(b []byte) (int, error) {
 
 // TestProgressConcurrentWriters hammers Progress from writer goroutines
 // (the campaign workers appending findings and bumping counters) while
-// readers poll every accessor (the monitor endpoints) and a 1 ms heartbeat
-// renders lines. The writers keep going until the heartbeat has rendered a
-// few lines, so its reads overlap theirs. It asserts the end state and,
-// under -race, that no access is unsynchronized.
+// readers poll every accessor and View (the job status and the monitor
+// endpoints) and a 1 ms heartbeat renders lines. The writers keep going
+// until the heartbeat has rendered a few lines, so its reads overlap
+// theirs. It asserts the end state and, under -race, that no access is
+// unsynchronized.
 func TestProgressConcurrentWriters(t *testing.T) {
 	reg := metrics.New()
 	p := NewProgress(64, 8, reg)
 	var lines lineCounter
-	stopHeartbeat := (&metrics.Heartbeat{Reg: reg, Total: 64, Out: &lines, Interval: time.Millisecond, Tool: "t", Progress: p}).Start()
+	stopHeartbeat := p.Heartbeat(&lines, time.Millisecond, "t")
 	const writers, perWriter = 8, 50
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -44,9 +45,7 @@ func TestProgressConcurrentWriters(t *testing.T) {
 				p.Done()
 				p.Findings()
 				p.FindingCount()
-				p.FailureCounts()
-				p.ETA()
-				p.Workers()
+				p.View(reg.Snapshot())
 			}
 		}()
 	}

@@ -1,9 +1,10 @@
 // Package metrics is the campaign-wide telemetry substrate: a
 // dependency-free, low-overhead registry of counters, gauges, and
-// fixed-bucket duration histograms, plus the collectors built on it (the
-// JSONL event log and the live progress heartbeat). The per-pass and
-// per-phase projections into a registry live with the campaign's
-// per-unit recorder (internal/corpus).
+// fixed-bucket duration histograms, plus the JSONL event log built on it.
+// The per-pass and per-phase projections into a registry live with the
+// campaign's per-unit recorder (internal/corpus); the live campaign view
+// that the heartbeat and the monitor render is derived from a registry
+// snapshot by harness.Progress.
 //
 // internal/trace answers "which pass eliminated this marker" (provenance);
 // this package answers "where does the time go and what is the campaign

@@ -221,74 +221,3 @@ func TestEventLogSurfacesWriteError(t *testing.T) {
 		t.Fatal("Close returned nil after a write error")
 	}
 }
-
-// TestHeartbeatLine renders a line from counters without a terminal.
-func TestHeartbeatLine(t *testing.T) {
-	r := New()
-	r.Counter(CounterSeedsAnalyzed).Add(5)
-	r.Counter(CounterCrashes).Add(2)
-	h := &Heartbeat{Reg: r, Total: 10, Tool: "t"}
-	line := h.line(time.Now().Add(-time.Second))
-	for _, want := range []string{"t:", "5/10 seeds", "2 crashes", "ETA"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("heartbeat line %q missing %q", line, want)
-		}
-	}
-}
-
-// TestHeartbeatLinePerf: once units flow, the line carries live units/s and
-// the middle-end pass skip rate; before any pass has run the skip figure is
-// omitted rather than rendered as a bogus 0%.
-func TestHeartbeatLinePerf(t *testing.T) {
-	r := New()
-	r.Counter(CounterSeedsAnalyzed).Add(5)
-	r.Counter(CounterUnits).Add(40)
-	h := &Heartbeat{Reg: r, Total: 10, Tool: "t"}
-	line := h.line(time.Now().Add(-2 * time.Second))
-	if !strings.Contains(line, "units/s") {
-		t.Errorf("heartbeat line %q missing units/s", line)
-	}
-	if strings.Contains(line, "skipped") {
-		t.Errorf("heartbeat line %q shows a skip rate with no pass data", line)
-	}
-
-	r.Counter(CounterPassVisited).Add(25)
-	r.Counter(CounterPassSkipped).Add(75)
-	line = h.line(time.Now().Add(-2 * time.Second))
-	if !strings.Contains(line, "75% skipped") {
-		t.Errorf("heartbeat line %q missing skip rate", line)
-	}
-}
-
-// TestPassSkipRate covers the zero-denominator and nil-registry guards.
-func TestPassSkipRate(t *testing.T) {
-	if _, ok := PassSkipRate(nil); ok {
-		t.Error("nil registry reported a known skip rate")
-	}
-	r := New()
-	if _, ok := PassSkipRate(r); ok {
-		t.Error("empty registry reported a known skip rate")
-	}
-	r.Counter(CounterPassVisited).Add(3)
-	r.Counter(CounterPassSkipped).Add(1)
-	if rate, ok := PassSkipRate(r); !ok || rate != 0.25 {
-		t.Errorf("skip rate = %g (known=%v), want 0.25", rate, ok)
-	}
-}
-
-// TestHeartbeatStartStop: Start/stop emits at least the final line and the
-// goroutine exits.
-func TestHeartbeatStartStop(t *testing.T) {
-	var buf bytes.Buffer
-	r := New()
-	r.Counter(CounterSeedsAnalyzed).Add(3)
-	h := &Heartbeat{Reg: r, Total: 3, Out: &buf, Interval: time.Hour, Tool: "t"}
-	stop := h.Start()
-	stop()
-	if !strings.Contains(buf.String(), "3/3 seeds") {
-		t.Errorf("final heartbeat line missing: %q", buf.String())
-	}
-	if !strings.Contains(buf.String(), "ETA done") {
-		t.Errorf("completed campaign should render ETA done: %q", buf.String())
-	}
-}

@@ -4,8 +4,8 @@ import "strconv"
 
 // Scheduler occupancy counters, fed by the corpus layer's sched probe on
 // wall-clock registries (deterministic registries skip them — occupancy is
-// a pure wall-clock quantity). The monitor derives per-worker occupancy
-// gauges for /progress and /metrics from the per-worker counters.
+// a pure wall-clock quantity). harness.Progress derives per-worker
+// occupancy for /progress and /metrics from the per-worker counters.
 const (
 	CounterSchedBusy = "sched.workers.busy_ns"
 	CounterQueueWait = "sched.queue.wait_ns"

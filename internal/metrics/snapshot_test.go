@@ -204,41 +204,6 @@ func TestOpenEventLogResumeMissingFile(t *testing.T) {
 	}
 }
 
-// fakeProgress stubs ProgressInfo for heartbeat-enrichment tests.
-type fakeProgress struct {
-	findings int
-	eta      time.Duration
-	known    bool
-}
-
-func (f fakeProgress) FindingCount() int          { return f.findings }
-func (f fakeProgress) ETA() (time.Duration, bool) { return f.eta, f.known }
-
-// TestHeartbeatLineWithProgress: wiring a Progress view enriches the line
-// with the live finding count and the shared ETA estimate (the same one the
-// monitor's /progress endpoint serves).
-func TestHeartbeatLineWithProgress(t *testing.T) {
-	reg := New()
-	reg.Counter(CounterSeedsAnalyzed).Add(5)
-	h := &Heartbeat{
-		Reg: reg, Total: 10, Tool: "dce-test",
-		Progress: fakeProgress{findings: 7, eta: 90 * time.Second, known: true},
-	}
-	line := h.line(time.Now().Add(-10 * time.Second))
-	if !strings.Contains(line, "7 findings") {
-		t.Fatalf("line %q missing finding count", line)
-	}
-	if !strings.Contains(line, "ETA 1m30s") {
-		t.Fatalf("line %q missing progress ETA", line)
-	}
-
-	// Before the first fresh seed there is no estimate basis: ETA ?.
-	h.Progress = fakeProgress{}
-	if line := h.line(time.Now()); !strings.Contains(line, "ETA ?") {
-		t.Fatalf("line %q, want unknown ETA", line)
-	}
-}
-
 func TestOpenEventLogTruncates(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "events.jsonl")
 	if err := os.WriteFile(path, []byte(`{"seq":9}`+"\n"), 0o644); err != nil {

@@ -15,6 +15,9 @@
 //
 // The three tails, and the service's per-job /events and /timeline, share
 // one handler, ServeTail, over the sources' internal/journal tails.
+// /progress serves harness.Progress.View, and /metrics its Rates derived
+// from the same registry snapshot as the body — one derivation shared with
+// the stderr heartbeat and the service's /jobs/{id}/progress.
 //
 // The server only reads; every source it serves is already safe for
 // concurrent use (atomic registry collectors, the progress mutex, the
@@ -179,55 +182,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 }
 
 // MetricsReply is the /metrics?format=json body: the registry snapshot's
-// fields at the top level (unchanged for existing clients) plus the derived
-// gauges under "derived". Both halves of the reply come from the same
-// snapshot, so the JSON and text renderings of one request agree exactly.
+// fields at the top level plus, under "derived", the rates
+// harness.Progress.View derives from that same snapshot, so the JSON and
+// text renderings of one request agree exactly.
 type MetricsReply struct {
 	*metrics.RegistrySnapshot
-	Derived DerivedGauges `json:"derived"`
-}
-
-// DerivedGauges are the gauges that exist only as derivations over other
-// sources — campaign throughput, the pass-manager skip rate, and per-worker
-// occupancy. They are computed once per request from one registry snapshot
-// and one read of the progress clock, never stored in the registry, so the
-// snapshot (and the deterministic artifacts built from it) stays untouched
-// — and the text and JSON renderings of the same scrape cannot drift apart.
-type DerivedGauges struct {
-	UnitsPerSec     float64   `json:"units_per_sec"`
-	PassSkipRate    float64   `json:"pass_skip_rate"`
-	PassSkipKnown   bool      `json:"pass_skip_known"`
-	WorkerOccupancy []float64 `json:"worker_occupancy,omitempty"`
-}
-
-// NewDerivedGauges computes the derived gauges from a registry snapshot and
-// the progress view. Every input is read exactly once: the counters come
-// from the snapshot (not the live registry, which may have advanced since
-// it was taken) and the elapsed clock and occupancy are sampled here.
-func NewDerivedGauges(snap *metrics.RegistrySnapshot, p *harness.Progress) DerivedGauges {
-	var d DerivedGauges
-	if snap != nil {
-		units := snap.Counters[metrics.CounterUnits]
-		if secs := p.Elapsed().Seconds(); secs > 0 {
-			d.UnitsPerSec = float64(units) / secs
-		}
-		visited := snap.Counters[metrics.CounterPassVisited]
-		skipped := snap.Counters[metrics.CounterPassSkipped]
-		if total := visited + skipped; total > 0 {
-			d.PassSkipRate = float64(skipped) / float64(total)
-			d.PassSkipKnown = true
-		}
-	}
-	d.WorkerOccupancy = p.Occupancy()
-	return d
+	Derived harness.Rates `json:"derived"`
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// One snapshot, one derivation, shared by both formats: computing the
-	// derived gauges at two scrape points (as the text path once did) lets
-	// the JSON and text views of the "same" scrape disagree.
 	snap := s.Reg.Snapshot()
-	d := NewDerivedGauges(snap, s.Progress)
+	d := s.Progress.View(snap).Rates
 	if r.URL.Query().Get("format") == "json" {
 		s.writeJSON(w, MetricsReply{RegistrySnapshot: snap, Derived: d})
 		return
@@ -237,11 +202,11 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, derivedExposition(s.Reg != nil, d))
 }
 
-// derivedExposition renders already-computed derived gauges in the same
+// derivedExposition renders already-computed derived rates in the same
 // Prometheus text format Exposition uses. haveReg preserves the historical
 // shape: a server without a registry never emitted the registry-derived
 // series, only occupancy.
-func derivedExposition(haveReg bool, d DerivedGauges) string {
+func derivedExposition(haveReg bool, d harness.Rates) string {
 	var sb strings.Builder
 	if haveReg {
 		fmt.Fprintf(&sb, "# TYPE dcelens_units_per_sec gauge\ndcelens_units_per_sec %g\n", d.UnitsPerSec)
@@ -258,64 +223,8 @@ func derivedExposition(haveReg bool, d DerivedGauges) string {
 	return sb.String()
 }
 
-// ProgressReply is the /progress body. The middle-end performance fields
-// (units, units_per_sec, pass_skip_rate) come from the registry rather than
-// the progress view; with no registry attached they stay at their zero
-// values and pass_skip_known is false.
-type ProgressReply struct {
-	SeedsTotal int              `json:"seeds_total"`
-	SeedsDone  int              `json:"seeds_done"`
-	Workers    int              `json:"workers"`
-	Findings   int              `json:"findings"`
-	Failures   map[string]int64 `json:"failures"`
-	ElapsedMs  int64            `json:"elapsed_ms"`
-	EtaMs      int64            `json:"eta_ms"`
-	EtaKnown   bool             `json:"eta_known"`
-
-	// Units is the number of compilation units optimized so far; UnitsPerSec
-	// is that count over the campaign's elapsed wall time.
-	Units       int64   `json:"units"`
-	UnitsPerSec float64 `json:"units_per_sec"`
-	// PassSkipRate is the fraction of (function, pass-instance) visits the
-	// dirty-tracking pass manager skipped as provably clean.
-	PassSkipRate  float64 `json:"pass_skip_rate"`
-	PassSkipKnown bool    `json:"pass_skip_known"`
-
-	// WorkerOccupancy is each worker's busy fraction of the campaign's
-	// elapsed wall time (indexed by worker), from the scheduler probe's
-	// occupancy counters. Absent for deterministic registries.
-	WorkerOccupancy []float64 `json:"worker_occupancy,omitempty"`
-}
-
-// NewProgressReply assembles the /progress body from a campaign's progress
-// view and registry — shared by the monitor's /progress and the service's
-// per-job GET /jobs/{id}/progress, so the two surfaces never disagree about
-// shape or derivation. Both sources may be nil.
-func NewProgressReply(p *harness.Progress, reg *metrics.Registry) ProgressReply {
-	eta, ok := p.ETA()
-	reply := ProgressReply{
-		SeedsTotal:      p.Total(),
-		SeedsDone:       p.Done(),
-		Workers:         p.Workers(),
-		Findings:        p.FindingCount(),
-		Failures:        p.FailureCounts(),
-		ElapsedMs:       p.Elapsed().Milliseconds(),
-		EtaMs:           eta.Milliseconds(),
-		EtaKnown:        ok,
-		WorkerOccupancy: p.Occupancy(),
-	}
-	if reg != nil {
-		reply.Units = reg.Counter(metrics.CounterUnits).Value()
-		if secs := p.Elapsed().Seconds(); secs > 0 {
-			reply.UnitsPerSec = float64(reply.Units) / secs
-		}
-		reply.PassSkipRate, reply.PassSkipKnown = metrics.PassSkipRate(reg)
-	}
-	return reply
-}
-
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	s.writeJSON(w, NewProgressReply(s.Progress, s.Reg))
+	s.writeJSON(w, s.Progress.View(s.Reg.Snapshot()))
 }
 
 func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {

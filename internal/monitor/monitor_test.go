@@ -109,7 +109,7 @@ func TestProgressEndpoint(t *testing.T) {
 	p.AddFindings("f1", "f2")
 	s := New("dce-test", reg, p, nil)
 
-	var body ProgressReply
+	var body harness.View
 	decode(t, get(t, s, "/progress"), &body)
 	if body.SeedsTotal != 10 || body.SeedsDone != 4 {
 		t.Fatalf("progress seeds = %d/%d, want 4/10", body.SeedsDone, body.SeedsTotal)
@@ -134,7 +134,7 @@ func TestProgressEndpoint(t *testing.T) {
 // TestProgressNil: /progress over a nil Progress reports a zero campaign.
 func TestProgressNil(t *testing.T) {
 	s := New("dce-test", nil, nil, nil)
-	var body ProgressReply
+	var body harness.View
 	decode(t, get(t, s, "/progress"), &body)
 	if body.SeedsTotal != 0 || body.SeedsDone != 0 || body.EtaKnown {
 		t.Fatalf("nil progress = %+v, want zeroes", body)
@@ -462,13 +462,14 @@ func TestOccupancyAndDerivedGauges(t *testing.T) {
 	reg.Counter(metrics.CounterUnits).Add(10)
 	reg.Counter(metrics.CounterPassVisited).Add(50)
 	reg.Counter(metrics.CounterPassSkipped).Add(50)
+	start := time.Now()
 	p := harness.NewProgress(10, 2, reg)
 	time.Sleep(2 * time.Millisecond) // let elapsed > 0
 	// Pretend worker 0 was busy for roughly the whole elapsed window.
-	reg.Counter(metrics.WorkerBusyCounter(0)).Add(p.Elapsed().Nanoseconds())
+	reg.Counter(metrics.WorkerBusyCounter(0)).Add(time.Since(start).Nanoseconds())
 	s := New("dce-test", reg, p, nil)
 
-	var body ProgressReply
+	var body harness.View
 	decode(t, get(t, s, "/progress"), &body)
 	if len(body.WorkerOccupancy) != 2 {
 		t.Fatalf("worker_occupancy = %v, want 2 entries", body.WorkerOccupancy)
@@ -495,7 +496,7 @@ func TestOccupancyAndDerivedGauges(t *testing.T) {
 	dreg := metrics.NewDeterministic()
 	dp := harness.NewProgress(10, 2, dreg)
 	ds := New("dce-test", dreg, dp, nil)
-	var dbody ProgressReply
+	var dbody harness.View
 	decode(t, get(t, ds, "/progress"), &dbody)
 	if dbody.WorkerOccupancy != nil {
 		t.Fatalf("deterministic worker_occupancy = %v, want absent", dbody.WorkerOccupancy)
@@ -518,7 +519,8 @@ func TestDerivedGaugesSingleSnapshot(t *testing.T) {
 	snap := reg.Snapshot()
 	// The campaign races ahead between the snapshot and the derivation.
 	reg.Counter(metrics.CounterPassVisited).Add(900)
-	d := NewDerivedGauges(snap, nil)
+	var p *harness.Progress
+	d := p.View(snap)
 	if !d.PassSkipKnown || d.PassSkipRate != 0.1 {
 		t.Fatalf("derived skip rate = %v (known=%v), want 0.1 from the snapshot, not the live registry",
 			d.PassSkipRate, d.PassSkipKnown)

@@ -137,15 +137,15 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleProgress serves the monitor's /progress reply for one job's
-// current attempt, so a dashboard pointed at either surface reads the same
-// shape.
+// handleProgress serves the live view of one job's current attempt, the
+// same harness.View the monitor's /progress serves, so a dashboard pointed
+// at either surface reads the same shape.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.job(w, r)
 	if !ok {
 		return
 	}
-	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, monitor.NewProgressReply(j.Progress(), j.Registry()))
+	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, j.Progress().View(j.Registry().Snapshot()))
 }
 
 func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {

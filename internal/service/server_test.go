@@ -354,7 +354,7 @@ func TestHTTPProgressAndTimeline(t *testing.T) {
 		t.Fatalf("job = %+v, want done", st)
 	}
 
-	var prog monitor.ProgressReply
+	var prog harness.View
 	pr := do(t, s, http.MethodGet, "/jobs/job-1/progress", "")
 	if pr.Code != http.StatusOK {
 		t.Fatalf("progress = %d (%s)", pr.Code, pr.Body.String())
