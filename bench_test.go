@@ -557,7 +557,7 @@ func BenchmarkSpanOverhead(b *testing.B) {
 // BenchmarkRemarkOverhead measures what remark collection costs a
 // campaign: the "off" case runs a small serial campaign bare, the "on"
 // case runs the identical campaign with Options.Remarks — every pass
-// emitting missed/analysis remarks and counting what it applied, the
+// emitting missed remarks and counting what it applied, the
 // collector deduplicating the remarks, and each seed's profile reduced to
 // chains and summaries. With remarks off the emission seam is one pointer
 // comparison per decision, so "off" must stay indistinguishable from the

@@ -37,9 +37,6 @@ func Monitoring() *Monitor {
 // Serving reports whether -serve was requested.
 func (m *Monitor) Serving() bool { return *m.serve != "" }
 
-// SnapshotDir returns the -history directory ("" when disabled).
-func (m *Monitor) SnapshotDir() string { return *m.history }
-
 // Serve starts the monitoring server when -serve was given, announces the
 // bound address on stderr (port 0 resolves here), and returns the stop
 // function. Without -serve it is a no-op.

@@ -59,7 +59,7 @@ type Options struct {
 	// EliminationsPerPass. Adds one IR scan per executed pass.
 	Trace bool
 	// Remarks attaches a remark collector (internal/remark) to every
-	// compilation: passes emit missed/analysis remarks through the
+	// compilation: passes emit missed remarks through the
 	// opt.RemarkSink seam and count the transformations they applied, each
 	// finding carries its nearest-miss chain, and seed outcomes summarize
 	// per-pass counts and miss reasons. Off, the remark seam costs one nil
@@ -185,16 +185,6 @@ type ProgramResult struct {
 	// Failures records the configs that crashed, timed out, or
 	// miscompiled, in (personality, level) option order.
 	Failures []harness.Failure
-}
-
-// FailureOf returns the recorded failure of a configuration, or nil.
-func (r *ProgramResult) FailureOf(key ConfigKey) *harness.Failure {
-	for i := range r.Failures {
-		if r.Failures[i].Config == key.String() {
-			return &r.Failures[i]
-		}
-	}
-	return nil
 }
 
 // FindingKind classifies how a missed optimization was discovered.

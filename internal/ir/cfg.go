@@ -147,10 +147,6 @@ func (t *DomTree) intersect(a, b *Block) *Block {
 	return a
 }
 
-// Idom returns b's immediate dominator (nil for the entry block and
-// unreachable blocks).
-func (t *DomTree) Idom(b *Block) *Block { return t.idom[b.ID] }
-
 // Children returns the dominator-tree children of b, in reverse postorder.
 func (t *DomTree) Children(b *Block) []*Block {
 	lo, hi := t.kidStart[b.ID], t.kidStart[b.ID+1]

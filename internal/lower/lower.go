@@ -35,15 +35,6 @@ func Lower(prog *ast.Program) (*ir.Module, error) {
 	return lo.mod, nil
 }
 
-// MustLower panics on error; for tests.
-func MustLower(prog *ast.Program) *ir.Module {
-	m, err := Lower(prog)
-	if err != nil {
-		panic(err)
-	}
-	return m
-}
-
 type lowerer struct {
 	mod     *ir.Module
 	globals map[*ast.VarDecl]*ir.Global

@@ -4,33 +4,6 @@ import (
 	"dcelens/internal/ir"
 )
 
-// Escape is the interprocedural escape/exposure analysis. It computes, for
-// every global, whether external code can observe or modify it (Escapes)
-// and whether its address flows anywhere beyond direct loads/stores
-// (AddrExposed). It is the analysis that justifies the paper's central
-// setup: calls to bodyless marker functions cannot clobber a static global
-// whose address never escapes, so constant propagation may look straight
-// through them.
-var Escape = Pass{Name: "escape", Run: func(m *ir.Module, o Options, inv *Invalidation) bool {
-	if ComputeEscapesOpt(m, o) {
-		inv.Facts()
-	}
-	if o.RemarksOn() {
-		// Record the analysis verdicts the transforming passes act on: an
-		// escaping global is the single most common root cause of a
-		// conservative decision downstream.
-		for _, g := range m.Globals {
-			switch {
-			case g.Escapes:
-				o.analysisModule("global "+g.Name, "escapes: external code may read or write it")
-			case g.AddrExposed:
-				o.analysisModule("global "+g.Name, "address-exposed: pointers of unknown provenance may reach it")
-			}
-		}
-	}
-	return false // analysis only
-}}
-
 // ComputeEscapesOpt honours the PessimisticEscape ablation knob. It reports
 // whether any global's flags changed — the signal the pass manager uses to
 // re-visit otherwise-clean functions in passes that consume the facts.
@@ -50,7 +23,12 @@ func ComputeEscapesOpt(m *ir.Module, o Options) bool {
 }
 
 // ComputeEscapes (re)computes Global.Escapes and Global.AddrExposed,
-// reporting whether any flag changed.
+// reporting whether any flag changed: whether external code can observe or
+// modify each global, and whether its address flows anywhere beyond direct
+// loads and stores. This is the analysis behind the paper's central setup:
+// calls to bodyless marker functions cannot clobber a static global whose
+// address never escapes, so constant propagation may look straight
+// through them.
 func ComputeEscapes(m *ir.Module) bool {
 	old := make([]bool, 0, 2*len(m.Globals))
 	for _, g := range m.Globals {

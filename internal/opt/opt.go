@@ -451,19 +451,3 @@ func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs 
 	}
 	return nil
 }
-
-// forEachDefined applies f to every function with a body (module-scoped
-// passes sweep through this; function-scoped passes let the pass manager
-// drive the sweep so it can dirty-filter).
-func forEachDefined(m *ir.Module, f func(*ir.Func) bool) bool {
-	changed := false
-	for _, fn := range m.Funcs {
-		if fn.External {
-			continue
-		}
-		if f(fn) {
-			changed = true
-		}
-	}
-	return changed
-}

@@ -20,7 +20,8 @@ const (
 	// RemarkMissed records a transformation that was considered and
 	// rejected; Remark.Reason says why.
 	RemarkMissed RemarkKind = iota
-	// RemarkAnalysis records a computed fact (no transformation).
+	// RemarkAnalysis records a computed fact (no transformation). No pass
+	// emits one at present.
 	RemarkAnalysis
 )
 
@@ -142,9 +143,4 @@ func (o Options) missed(f *ir.Func, subject string, reason Reason, detail string
 // included in every function's miss chain).
 func (o Options) missedModule(subject string, reason Reason, detail string) {
 	o.remark(RemarkMissed, "", subject, reason, detail)
-}
-
-// analysisModule records a module-level analysis fact.
-func (o Options) analysisModule(subject, detail string) {
-	o.remark(RemarkAnalysis, "", subject, "", detail)
 }

@@ -79,13 +79,3 @@ func AttributionTable(title string, rows []trace.PassElims) string {
 	fmt.Fprintf(&sb, "%-18s %-30s %14d\n", "total", "", total)
 	return sb.String()
 }
-
-// Attributions renders per-finding attribution lines.
-func Attributions(atts []*trace.Attribution) string {
-	var sb strings.Builder
-	for _, a := range atts {
-		fmt.Fprintf(&sb, "  %-16s eliminated by %-24s via %-20s (%s)\n",
-			a.Marker, a.Eliminator, a.Killer, a.Component)
-	}
-	return sb.String()
-}

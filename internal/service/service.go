@@ -378,13 +378,6 @@ func (e *Engine) Health() string {
 // QueueDepth returns (queued, capacity).
 func (e *Engine) QueueDepth() (int, int) { return len(e.queue), cap(e.queue) }
 
-// Draining reports whether Drain has begun.
-func (e *Engine) Draining() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.draining
-}
-
 // Drain gracefully shuts the engine down: admission stops (Submit returns
 // ErrDraining), every running job is asked to stop via the cooperative
 // corpus hook — seeds in flight finish and checkpoint, unstarted seeds

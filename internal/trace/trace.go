@@ -106,37 +106,6 @@ type Profile struct {
 // Provenance returns the marker→killer attribution of the compilation.
 func (p *Profile) Provenance() *Provenance { return p.prov }
 
-// TotalDuration sums the per-pass wall times.
-func (p *Profile) TotalDuration() time.Duration {
-	var d time.Duration
-	for i := range p.Passes {
-		d += p.Passes[i].Duration
-	}
-	return d
-}
-
-// AttributionRate returns the fraction of the given markers that the
-// provenance attributes to some pass instance, and the fraction attributed
-// to a concrete pipeline pass (excluding the frontend pseudo pass). The
-// markers are typically the eliminated dead markers of a compilation.
-func (p *Profile) AttributionRate(markers []string) (attributed, pipeline float64) {
-	if len(markers) == 0 {
-		return 1, 1
-	}
-	att, pipe := 0, 0
-	for _, m := range markers {
-		ref, ok := p.prov.Killer[m]
-		if !ok {
-			continue
-		}
-		att++
-		if !ref.IsFrontend() {
-			pipe++
-		}
-	}
-	return float64(att) / float64(len(markers)), float64(pipe) / float64(len(markers))
-}
-
 // SurvivingMarkers scans the module for marker calls reachable from the
 // entry of a defined function — exactly what survives into the emitted
 // assembly (the backend lays out reachable blocks only). The scan is the

@@ -89,9 +89,6 @@ func (t *Type) IsSigned() bool {
 // IsPointer reports whether t is a pointer type.
 func (t *Type) IsPointer() bool { return t.Kind == Pointer }
 
-// IsArray reports whether t is an array type.
-func (t *Type) IsArray() bool { return t.Kind == Array }
-
 // IsScalar reports whether t is an integer or pointer type
 // (a value that fits in a register).
 func (t *Type) IsScalar() bool { return t.IsInteger() || t.IsPointer() }

@@ -100,7 +100,7 @@ overhead_gate Span "budget ~3%" 1.25
 # the ratio is the cost of the wrapper alone.
 overhead_gate Harness "budget ~3%" 1.25
 # Remark collection: a campaign with -remarks (every pass emitting missed
-# and analysis remarks and counting what it applied, the collector
+# remarks and counting what it applied, the collector
 # deduplicating the remarks and reducing them to chains) costs +5.3%
 # allocs/op on this small fixture, and its wall-time cost is below the
 # noise: over ten readings the on/off ratio read -35% to +14% (median
