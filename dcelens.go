@@ -402,8 +402,8 @@ func ExplainFindings(fs []Finding) string { return report.ExplainAll(fs) }
 // applied/missed table and the top miss reasons.
 func ReportRemarks(s *corpus.Stats) string { return report.Remarks(s) }
 
-// TopMissReasons sorts a miss-reason histogram (RemarkSummary.Reasons,
-// Stats.RemarkReasons) by descending count; n > 0 keeps the first n rows.
+// TopMissReasons sorts a miss-reason histogram (RemarkSummary.Reasons, as
+// in Stats.Remarks) by descending count; n > 0 keeps the first n rows.
 func TopMissReasons(reasons map[string]int, n int) []report.ReasonCount {
 	return report.TopReasons(reasons, n)
 }

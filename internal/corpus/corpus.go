@@ -299,14 +299,11 @@ type Stats struct {
 	LevelMissed  map[pipeline.Personality]int
 	LevelPrimary map[pipeline.Personality]int
 
-	// Remark aggregation (campaigns run with Options.Remarks; nil maps
-	// otherwise). RemarkApplied counts applied transformations and
-	// RemarkMissed missed remarks per pass, across every configuration of
-	// every analyzable seed; RemarkReasons histograms the Missed remarks by
-	// reason code.
-	RemarkApplied map[string]int
-	RemarkMissed  map[string]int
-	RemarkReasons map[string]int
+	// Remarks sums the seeds' remark summaries across every configuration
+	// of every analyzable seed: applied transformations and missed remarks
+	// per pass, and the miss-reason histogram. Nil until some seed has a
+	// summary (campaigns run with Options.Remarks).
+	Remarks *RemarkSummary
 
 	// Failure accounting (internal/harness). Crashes, Timeouts,
 	// Miscompiles, and Infeasible are per-kind counts; Failures holds the
@@ -637,20 +634,10 @@ func (c *Campaign) aggregate() {
 		s.DeadMarkers += out.Dead
 		s.AliveMarkers += out.Alive
 		if rs := out.Remarks; rs != nil {
-			if s.RemarkApplied == nil {
-				s.RemarkApplied = map[string]int{}
-				s.RemarkMissed = map[string]int{}
-				s.RemarkReasons = map[string]int{}
+			if s.Remarks == nil {
+				s.Remarks = &RemarkSummary{}
 			}
-			for pass, n := range rs.Applied {
-				s.RemarkApplied[pass] += n
-			}
-			for pass, n := range rs.Missed {
-				s.RemarkMissed[pass] += n
-			}
-			for reason, n := range rs.Reasons {
-				s.RemarkReasons[reason] += n
-			}
+			s.Remarks.merge(rs)
 		}
 		for _, cf := range out.Configs {
 			key := ConfigKey{cf.Personality, cf.Level}

@@ -68,12 +68,25 @@ func (s *RemarkSummary) add(p *remark.Profile) {
 			s.Missed[pc.Pass] += pc.Missed
 		}
 	}
-	for reason, n := range p.Reasons {
-		if s.Reasons == nil {
-			s.Reasons = map[string]int{}
+	s.Reasons = addCounts(s.Reasons, p.Reasons)
+}
+
+// merge folds another summary into s.
+func (s *RemarkSummary) merge(o *RemarkSummary) {
+	s.Applied = addCounts(s.Applied, o.Applied)
+	s.Missed = addCounts(s.Missed, o.Missed)
+	s.Reasons = addCounts(s.Reasons, o.Reasons)
+}
+
+// addCounts adds src's counts into dst, allocating dst on first use.
+func addCounts(dst, src map[string]int) map[string]int {
+	for k, n := range src {
+		if dst == nil {
+			dst = map[string]int{}
 		}
-		s.Reasons[reason] += n
+		dst[k] += n
 	}
+	return dst
 }
 
 // outcomeOf condenses a ProgramResult into its serializable outcome.

@@ -13,17 +13,18 @@ import (
 // count (ties by name, so the table is deterministic). Empty when the
 // campaign ran without Options.Remarks.
 func Remarks(s *corpus.Stats) string {
-	if len(s.RemarkApplied) == 0 && len(s.RemarkMissed) == 0 {
+	r := s.Remarks
+	if r == nil || (len(r.Applied) == 0 && len(r.Missed) == 0) {
 		return ""
 	}
 	var sb strings.Builder
 	sb.WriteString("Optimization remarks\n")
 	fmt.Fprintf(&sb, "%-12s %8s %8s\n", "Pass", "Applied", "Missed")
 	passes := map[string]bool{}
-	for p := range s.RemarkApplied {
+	for p := range r.Applied {
 		passes[p] = true
 	}
-	for p := range s.RemarkMissed {
+	for p := range r.Missed {
 		passes[p] = true
 	}
 	names := make([]string, 0, len(passes))
@@ -32,12 +33,12 @@ func Remarks(s *corpus.Stats) string {
 	}
 	sort.Strings(names)
 	for _, p := range names {
-		fmt.Fprintf(&sb, "%-12s %8d %8d\n", p, s.RemarkApplied[p], s.RemarkMissed[p])
+		fmt.Fprintf(&sb, "%-12s %8d %8d\n", p, r.Applied[p], r.Missed[p])
 	}
-	if len(s.RemarkReasons) > 0 {
+	if len(r.Reasons) > 0 {
 		sb.WriteString("Top miss reasons\n")
-		for _, r := range TopReasons(s.RemarkReasons, 0) {
-			fmt.Fprintf(&sb, "  %-16s %6d\n", r.Reason, r.Count)
+		for _, rc := range TopReasons(r.Reasons, 0) {
+			fmt.Fprintf(&sb, "  %-16s %6d\n", rc.Reason, rc.Count)
 		}
 	}
 	return sb.String()

@@ -722,14 +722,6 @@ func (j *Job) run(e *Engine, attempt int) (*corpus.Campaign, error) {
 // complete finalizes a fully-run job: report, history snapshot, done.
 func (j *Job) complete(e *Engine, c *corpus.Campaign) {
 	text := report.Summary(c)
-	var rsum *corpus.RemarkSummary
-	if c.Stats.RemarkApplied != nil || c.Stats.RemarkMissed != nil {
-		rsum = &corpus.RemarkSummary{
-			Applied: c.Stats.RemarkApplied,
-			Missed:  c.Stats.RemarkMissed,
-			Reasons: c.Stats.RemarkReasons,
-		}
-	}
 	snap := history.NewSnapshot(e.Tool, c, j.Registry())
 	var path string
 	if e.limits.HistoryDir != "" {
@@ -745,7 +737,7 @@ func (j *Job) complete(e *Engine, c *corpus.Campaign) {
 	j.state = StateDone
 	j.lastErr = ""
 	j.report = text
-	j.remarkSum = rsum
+	j.remarkSum = c.Stats.Remarks
 	j.snapshot = snap
 	j.snapPath = path
 	j.mu.Unlock()
