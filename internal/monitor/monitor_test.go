@@ -6,6 +6,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -580,4 +581,59 @@ func TestRemarksEndpoint(t *testing.T) {
 	if rec := get(t, bare, "/remarks"); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "" {
 		t.Fatalf("bare /remarks = %d %q, want empty 200", rec.Code, rec.Body.String())
 	}
+}
+
+// FuzzServeTail: whatever since a client sends, ServeTail answers a 400
+// with a JSON error body, or a 200 whose lines have strictly increasing
+// seq, each above since and none above X-Dcelens-Last-Seq.
+func FuzzServeTail(f *testing.F) {
+	for _, since := range []string{"", "0", "1", "3", "5", "-1", "x", "1.5", "bogus", "nope", "+2", "9223372036854775807"} {
+		f.Add(since)
+	}
+	log := metrics.NewEventLog(io.Discard)
+	log.Journal().KeepTail(4) // holds seq 3-6: since may fall in the dropped gap
+	for i := 0; i < 6; i++ {
+		log.Emit("seed_end", map[string]any{"seed": i})
+	}
+	f.Fuzz(func(t *testing.T, since string) {
+		rec := httptest.NewRecorder()
+		req := httptest.NewRequest(http.MethodGet, "/events?"+url.Values{"since": {since}}.Encode(), nil)
+		ServeTail(rec, req, log.Journal())
+		switch rec.Code {
+		case http.StatusBadRequest:
+			var body struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body.Error == "" {
+				t.Fatalf("since=%q: 400 body %q is not a JSON error", since, rec.Body.String())
+			}
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("since=%q: status %d, want 200 or 400", since, rec.Code)
+		}
+		prev, err := strconv.ParseInt(since, 10, 64)
+		if since != "" && (err != nil || prev < 0) {
+			t.Fatalf("since=%q: 200 for a value that is not a non-negative integer", since)
+		}
+		head, err := strconv.ParseInt(rec.Header().Get("X-Dcelens-Last-Seq"), 10, 64)
+		if err != nil {
+			t.Fatalf("since=%q: X-Dcelens-Last-Seq: %v", since, err)
+		}
+		for _, line := range strings.Split(strings.TrimSuffix(rec.Body.String(), "\n"), "\n") {
+			if line == "" {
+				continue
+			}
+			var ev struct {
+				Seq int64 `json:"seq"`
+			}
+			if err := json.Unmarshal([]byte(line), &ev); err != nil {
+				t.Fatalf("since=%q: line %q: %v", since, line, err)
+			}
+			if ev.Seq <= prev || ev.Seq > head {
+				t.Fatalf("since=%q: line seq %d after %d, header %d", since, ev.Seq, prev, head)
+			}
+			prev = ev.Seq
+		}
+	})
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -476,4 +477,59 @@ func TestLiveSurfaceKeys(t *testing.T) {
 		t.Fatalf("job ended %s", st)
 	}
 	check("/jobs/job-1/progress", get(s.Handler(), "/jobs/job-1/progress"), progressKeys)
+}
+
+// FuzzSubmitSpec: whatever body a client posts to /jobs, a fresh engine
+// with no executors answers 202 or a 400 with a JSON error body, never a
+// 500 or a panic, and an accepted job's status carries a spec that
+// decodes back to itself with unknown fields disallowed.
+func FuzzSubmitSpec(f *testing.F) {
+	for _, body := range []string{
+		`{"programs": 3, "base_seed": 1, "personalities": ["gcc"], "levels": ["O1", "O2", "O3"]}`,
+		`{"programs": 2, "base_seed": 1, "remarks": true, "personalities": ["gcc"], "levels": ["O3"]}`,
+		`{"programs": 1}`,
+		`{"programs": 2, "workers": 99, "max_attempts": 99}`,
+		`{"programs": 2, "chaos": {"crash_at_seed": 1}, "inject": "crash:gvn:1", "deadline_ms": 5}`,
+		`{not json`,
+		`{"programs": 1, "bogus": true}`,
+		`{"programs": 0}`,
+		`{"programs": 1, "personalities": ["icc"]}`,
+		`{"programs": 1, "levels": ["O9"]}`,
+		`{"programs": 1, "inject": "explode:gvn:1"}`,
+	} {
+		f.Add(body)
+	}
+	f.Fuzz(func(t *testing.T, body string) {
+		rec := httptest.NewRecorder()
+		NewServer(New("dce-serve-fuzz", Limits{})).Handler().ServeHTTP(rec,
+			httptest.NewRequest(http.MethodPost, "/jobs", strings.NewReader(body)))
+		switch rec.Code {
+		case http.StatusBadRequest:
+			var apiErr struct {
+				Error string `json:"error"`
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil || apiErr.Error == "" {
+				t.Fatalf("body %q: 400 body %q is not a JSON error", body, rec.Body.String())
+			}
+			return
+		case http.StatusAccepted:
+		default:
+			t.Fatalf("body %q: status %d (%s), want 202 or 400", body, rec.Code, rec.Body.String())
+		}
+		var st Status
+		decodeBody(t, rec, &st)
+		b, err := json.Marshal(st.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dec := json.NewDecoder(bytes.NewReader(b))
+		dec.DisallowUnknownFields()
+		var back Spec
+		if err := dec.Decode(&back); err != nil {
+			t.Fatalf("body %q: accepted spec %s does not decode: %v", body, b, err)
+		}
+		if !reflect.DeepEqual(back, st.Spec) {
+			t.Fatalf("body %q: accepted spec %+v decodes back as %+v", body, st.Spec, back)
+		}
+	})
 }

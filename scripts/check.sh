@@ -45,6 +45,12 @@ go test -race ./internal/sched ./internal/harness ./internal/corpus \
 # file must either fail to load or survive a save and a reload.
 go test -run '^$' -fuzz '^FuzzJournalResume$' -fuzztime 5s ./internal/journal
 go test -run '^$' -fuzz '^FuzzLoadCheckpoint$' -fuzztime 5s ./internal/harness
+# Fuzz the two HTTP decoders the monitor and the service share: any ?since=
+# value must get a JSON 400 or a tail in seq order, above since and bounded
+# by its header, and any POST /jobs body a 202 or a 400, never a 500 or a
+# panic.
+go test -run '^$' -fuzz '^FuzzServeTail$' -fuzztime 5s ./internal/monitor
+go test -run '^$' -fuzz '^FuzzSubmitSpec$' -fuzztime 5s ./internal/service
 
 # Service smoke gate: build dce-serve and drive it with the load-test
 # client — concurrent submissions against a tiny queue must produce 429s
