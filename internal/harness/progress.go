@@ -16,8 +16,8 @@ import (
 // everything a live surface shows from it and one registry snapshot — the
 // stderr heartbeat (Heartbeat), the monitor's /progress and /metrics, and
 // the service's /jobs/{id}/progress all render a View, so the terminal and
-// HTTP views never disagree. This file is the one reader of the campaign
-// counters internal/corpus writes.
+// HTTP views never disagree. Nothing else reads the campaign counters
+// internal/corpus writes.
 //
 // All methods are nil-safe, matching the metrics registry's design rule: a
 // campaign without monitoring threads a nil *Progress and pays only nil
@@ -230,14 +230,13 @@ func (p *Progress) Heartbeat(out io.Writer, interval time.Duration, tool string)
 		defer close(finished)
 		tick := time.NewTicker(interval)
 		defer tick.Stop()
-		for {
+		for running := true; running; {
 			select {
 			case <-tick.C:
-				fmt.Fprintln(out, p.View(p.reg.Snapshot()).Line(tool))
 			case <-done:
-				fmt.Fprintln(out, p.View(p.reg.Snapshot()).Line(tool))
-				return
+				running = false
 			}
+			fmt.Fprintln(out, p.View(p.reg.Snapshot()).Line(tool))
 		}
 	}()
 	return func() {
