@@ -57,10 +57,19 @@ go test -run '^$' -fuzz '^FuzzSubmitSpec$' -fuzztime 5s ./internal/service
 # with Retry-After, every accepted job must report byte-identically to an
 # in-process campaign (zero lost findings), and SIGTERM must drain to a
 # clean exit 0.
-serve_bin=$(mktemp -d)/dce-serve
-trap 'rm -rf "$(dirname "$serve_bin")"' EXIT
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+serve_bin=$work/dce-serve
 go build -o "$serve_bin" ./cmd/dce-serve
 go run ./scripts/loadtest.go -bin "$serve_bin"
+
+# The paper's tables: the full evaluation run, triage included (over a
+# minute on two CPUs), must print testdata/golden/paper-tables.txt byte for
+# byte. TestPaperTables pins the cheaper -bisect run (the same output
+# without Table 5) in the test suite above.
+go run ./cmd/dce-report -n 120 -bisect -triage > "$work/paper-tables.txt"
+diff testdata/golden/paper-tables.txt "$work/paper-tables.txt"
+echo "paper tables: identical to testdata/golden/paper-tables.txt"
 
 # overhead_gate NAME BUDGET GATE [ALLOC_GATE]: run Benchmark<NAME>Overhead's
 # off/on arms and fail when on/off wall time exceeds GATE or, when
