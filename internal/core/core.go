@@ -16,11 +16,9 @@ import (
 	"fmt"
 	"sort"
 
-	"dcelens/internal/asm"
 	"dcelens/internal/instrument"
 	"dcelens/internal/interp"
 	"dcelens/internal/ir"
-	"dcelens/internal/lower"
 	"dcelens/internal/pipeline"
 	"dcelens/internal/remark"
 	"dcelens/internal/trace"
@@ -77,40 +75,8 @@ type Compilation struct {
 // cross-checked against the assembly scan, so a provenance entry can be
 // trusted to describe what the oracle observes.
 func Compile(ins *instrument.Program, cfg *pipeline.Config, h Hooks) (*Compilation, error) {
-	rec := h.Recorder
-	start := clock(rec)
-	m, err := lower.Lower(ins.Prog)
-	phase(rec, "lower", start)
-	if err != nil {
-		return nil, err
-	}
-	if err := optimize(cfg, m, &h); err != nil {
-		return nil, err
-	}
-	start = clock(rec)
-	text := asm.Emit(m)
-	alive := map[string]bool{}
-	for _, name := range asm.SurvivingMarkers(text, instrument.IsMarker) {
-		alive[name] = true
-	}
-	phase(rec, "codegen", start)
-	if h.Trace != nil {
-		// The IR-level scan and the assembly oracle must agree, or the
-		// provenance would attribute eliminations the oracle never sees
-		// (or miss ones it does).
-		final := h.Trace.Profile().FinalSurviving
-		if len(final) != len(alive) {
-			return nil, fmt.Errorf("core: %s: trace/asm marker disagreement: %d surviving in IR, %d in assembly",
-				cfg.Name(), len(final), len(alive))
-		}
-		for _, name := range final {
-			if !alive[name] {
-				return nil, fmt.Errorf("core: %s: trace/asm marker disagreement: %s survives in IR but not in assembly",
-					cfg.Name(), name)
-			}
-		}
-	}
-	return &Compilation{Config: cfg, Module: m, Asm: text, Alive: alive}, nil
+	t, _, _ := newTrie(ins, []*pipeline.Config{cfg}, h.Trace != nil, h.Remarks != nil)
+	return t.Paused[0].Compile(h)
 }
 
 // VerifyAgainstTruth executes the compiled module and checks that the
@@ -209,6 +175,12 @@ func Analyze(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerC
 	if err != nil {
 		return nil, err
 	}
+	return analyze(comp, t, g, h), nil
+}
+
+// analyze derives a compilation's missed and primary-missed markers and
+// takes the profiles of the trace and remark collector h attaches.
+func analyze(comp *Compilation, t *Truth, g *MarkerCFG, h Hooks) *Analysis {
 	missed := comp.Missed(t)
 	an := &Analysis{
 		Compilation:   comp,
@@ -221,5 +193,5 @@ func Analyze(ins *instrument.Program, cfg *pipeline.Config, t *Truth, g *MarkerC
 	if h.Remarks != nil {
 		an.Remarks = h.Remarks.Profile()
 	}
-	return an, nil
+	return an
 }

@@ -41,15 +41,15 @@ type Recorder interface {
 
 // optimize runs the middle end under the hooks' composed observer,
 // reporting the opt phase to the recorder on every exit.
-func optimize(cfg *pipeline.Config, m *ir.Module, h *Hooks) error {
+func optimize(cfg *pipeline.Config, r *opt.Run, h *Hooks) error {
 	obs := h.observer()
 	if h.Recorder == nil {
-		return cfg.CompileObserved(m, obs)
+		return cfg.Finish(r, obs)
 	}
 	start := time.Now()
 	returned := false
 	defer func() { h.Recorder.Phase("opt", start, time.Since(start), !returned) }()
-	err := cfg.CompileObserved(m, obs)
+	err := cfg.Finish(r, obs)
 	returned = true
 	return err
 }

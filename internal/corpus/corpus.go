@@ -545,14 +545,14 @@ func failureFields(f *harness.Failure) map[string]any {
 	return fields
 }
 
-// runConfig compiles and analyzes one configuration under the harness.
-// It touches no shared state: the analysis is returned for the seed's
-// finalize stage to merge, and events and spans are buffered into buf for
-// sequenced emission, which is what lets a seed's units run concurrently.
-// A failure carries the instrumented source as its reproducer, printed
-// only once the failure exists.
-func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, traced, remarks bool, buf *slotBuf, tid int) (*core.Analysis, *harness.Failure) {
-	cfg := pipeline.New(key.Personality, key.Level)
+// runConfig compiles and analyzes one configuration under the harness:
+// it continues paused, the unit's compile as the seed's trie paused it, or
+// compiles alone when paused is nil. It touches no shared state: the
+// analysis is returned for the seed's finalize stage to merge, and events
+// and spans are buffered into buf for sequenced emission, which is what
+// lets a seed's units run concurrently. A failure carries the instrumented
+// source as its reproducer, printed only once the failure exists.
+func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, paused *core.Paused, traced, remarks bool, buf *slotBuf, tid int) (*core.Analysis, *harness.Failure) {
 	buf.emit("unit_begin", map[string]any{"seed": r.Seed, "config": key.String()})
 	ustart := buf.now()
 	var out *core.Analysis
@@ -567,7 +567,13 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, t
 		if remarks {
 			hooks.Remarks = remark.NewCollector(instrument.IsMarker)
 		}
-		an, err := core.Analyze(r.Ins, cfg, r.Truth, r.Graph, hooks)
+		var an *core.Analysis
+		var err error
+		if paused != nil {
+			an, err = paused.Analyze(r.Truth, r.Graph, hooks)
+		} else {
+			an, err = core.Analyze(r.Ins, pipeline.New(key.Personality, key.Level), r.Truth, r.Graph, hooks)
+		}
 		if err != nil {
 			return err
 		}

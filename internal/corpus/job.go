@@ -6,6 +6,7 @@ import (
 	"dcelens/internal/core"
 	"dcelens/internal/harness"
 	"dcelens/internal/metrics"
+	"dcelens/internal/pipeline"
 	"dcelens/internal/sched"
 	"dcelens/internal/span"
 )
@@ -38,6 +39,9 @@ type seedJob struct {
 	r        *ProgramResult
 	restored bool
 	skipped  bool
+	// paused holds each unit's compile as the seed's compile trie paused
+	// it; nil for a unit that compiles alone.
+	paused   []*core.Paused
 	unitAn   []*core.Analysis
 	unitFail []*harness.Failure
 }
@@ -85,6 +89,9 @@ func (j *seedJob) prepare(w int) (int, error) {
 	}
 	j.start = time.Now()
 	j.r = buildProgram(*j.o, j.h, j.seed, buf, w+1)
+	if j.r.Err == nil {
+		j.share()
+	}
 	if buf.timed() {
 		buf.span("prepare", span.CatSeed, w+1, j.start,
 			span.Int64("seed", j.seed), span.Bool("ok", j.r.Err == nil))
@@ -101,17 +108,46 @@ func (j *seedJob) prepare(w int) (int, error) {
 	return len(j.cfgs), nil
 }
 
+// share compiles the seed's configurations as a trie (core.Trie), so that
+// each unit continues from the work it shares with the others. A unit with
+// a fault armed for the seed takes no part. The trie is built outside the
+// program build's Protect, so a compile failure is never an infeasible
+// program; if shared work fails, the seed drops the trie and every unit
+// compiles alone, so a failure's kind, message and signature never depend
+// on sharing.
+func (j *seedJob) share() {
+	cfgs := make([]*pipeline.Config, len(j.cfgs))
+	n := 0
+	for u, key := range j.cfgs {
+		if !j.h.Armed(j.seed, key.String()) {
+			cfgs[u] = pipeline.New(key.Personality, key.Level)
+			n++
+		}
+	}
+	if n < 2 {
+		return
+	}
+	if t, err := core.NewTrie(j.r.Ins, cfgs, j.o.Trace, j.o.Remarks); err == nil {
+		j.paused = t.Paused
+	}
+}
+
 // unit compiles and analyzes one configuration, storing its result in the
 // unit's own slot for finalize to merge.
 func (j *seedJob) unit(w, u int) error {
 	key := j.cfgs[u]
 	buf := &slotBuf{o: j.o}
-	an, fail := runConfig(*j.o, j.h, j.r, key, j.o.Trace, j.o.Remarks, buf, w+1)
+	var paused *core.Paused
+	if j.paused != nil {
+		paused, j.paused[u] = j.paused[u], nil
+	}
+	an, fail := runConfig(*j.o, j.h, j.r, key, paused, j.o.Trace, j.o.Remarks, buf, w+1)
 	if fail != nil && (j.o.Trace || j.o.Remarks) {
 		// Graceful degradation: the observers themselves (the trace
 		// recorder's per-pass IR scans, the remark collector) may be what
-		// broke — retry once with both off before giving up on the config.
-		if ran, retry := runConfig(*j.o, j.h, j.r, key, false, false, buf, w+1); retry == nil {
+		// broke — retry once with both off, compiling alone, before giving
+		// up on the config.
+		if ran, retry := runConfig(*j.o, j.h, j.r, key, nil, false, false, buf, w+1); retry == nil {
 			an, fail = ran, nil
 		}
 	}

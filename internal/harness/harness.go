@@ -130,6 +130,14 @@ func (h *Harness) budget() int {
 	return h.StepBudget
 }
 
+// Armed reports whether a fault is armed for the (seed, config) unit. A
+// campaign compiles such a unit alone, so that the fault fires in the
+// unit's own compile and never in work it shares with other
+// configurations.
+func (h *Harness) Armed(seed int64, config string) bool {
+	return h != nil && len(h.Faults.active(seed, config)) > 0
+}
+
 // deadlinePanic is the watchdog's control-flow sentinel; Protect converts
 // it into a KindTimeout failure.
 type deadlinePanic struct {

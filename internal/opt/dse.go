@@ -10,7 +10,9 @@ import (
 // (no mod/ref summaries), calls to external functions for escaping
 // storage, and the end of the block (the store may be observed later, e.g.
 // by the whole-program checksum, so stores live at block exit are kept).
-var DSE = Pass{Name: "dse", Pre: ComputeEscapesOpt, Fn: dseFunc}
+var DSE = Pass{Name: "dse", Pre: ComputeEscapesOpt, Fn: dseFunc, Reads: func(o Options) Options {
+	return Options{Alias: o.Alias, PessimisticEscape: o.PessimisticEscape}
+}}
 
 func dseFunc(f *ir.Func, o Options) bool {
 	ac := NewAliasCtx(f, o.Alias)

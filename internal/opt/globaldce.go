@@ -13,7 +13,9 @@ import (
 // Globals are deliberately NOT removed: the reproduction's observation
 // model reads every global after exit (the Csmith-style checksum), so an
 // "unused" global is still observable state.
-var GlobalDCE = Pass{Name: "globaldce", Run: globalDCE}
+var GlobalDCE = Pass{Name: "globaldce", Run: globalDCE, Reads: func(o Options) Options {
+	return Options{KeepSRAClones: o.KeepSRAClones}
+}}
 
 // globalDCE only removes whole functions; surviving bodies are untouched,
 // so it reports no per-function invalidations.

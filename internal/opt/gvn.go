@@ -18,7 +18,9 @@ import (
 // the enabling property of the paper's instrumentation. Stores marked
 // Widened by the store-widening pass never forward, reproducing the
 // type-mismatch blockage of paper Listing 9e.
-var GVN = Pass{Name: "gvn", Pre: ComputeEscapesOpt, Fn: gvnFunc, Post: gvnForward}
+var GVN = Pass{Name: "gvn", Pre: ComputeEscapesOpt, Fn: gvnFunc, Post: gvnForward, Reads: func(o Options) Options {
+	return Options{Alias: o.Alias, LoadForwarding: o.LoadForwarding, PessimisticEscape: o.PessimisticEscape}
+}}
 
 // gvnForward is GVN's module-scoped epilogue: cross-function single-store
 // forwarding after the per-function sweep. Functions it strips loads from

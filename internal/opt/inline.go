@@ -11,7 +11,9 @@ import (
 // sites. Inlining is what turns the interprocedural examples of the paper
 // into intraprocedural ones that SCCP/GVN can finish off; several of the
 // paper's bisected regressions live in inlining heuristics (Table 4).
-var Inline = Pass{Name: "inline", Run: inline}
+var Inline = Pass{Name: "inline", Run: inline, Reads: func(o Options) Options {
+	return Options{InlineBudget: o.InlineBudget}
+}}
 
 func inline(m *ir.Module, o Options, inv *Invalidation) bool {
 	if o.InlineBudget <= 0 {

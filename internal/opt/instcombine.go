@@ -11,7 +11,9 @@ import (
 // single instructions (plus their operands' shapes). Mirrors the role of
 // LLVM's instcombine / GCC's match.pd folders. The paper bisects several
 // missed optimizations to peephole-pattern changes (Tables 3/4).
-var InstCombine = Pass{Name: "instcombine", Fn: instCombineFunc}
+var InstCombine = Pass{Name: "instcombine", Fn: instCombineFunc, Reads: func(o Options) Options {
+	return Options{FoldPtrCmpNonzeroOffset: o.FoldPtrCmpNonzeroOffset}
+}}
 
 func instCombineFunc(f *ir.Func, o Options) bool {
 	changed := false

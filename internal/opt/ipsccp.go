@@ -28,7 +28,12 @@ import (
 // ConstArrayLoadFold additionally folds loads (with arbitrary indices) from
 // never-written arrays whose elements are all the same constant (Listing
 // 9f: `b[a]` where b = {0, 0}).
-var IPSCCP = Pass{Name: "ipsccp", Run: ipsccp}
+var IPSCCP = Pass{Name: "ipsccp", Run: ipsccp, Reads: func(o Options) Options {
+	return Options{
+		GlobalProp: o.GlobalProp, ConstArrayLoadFold: o.ConstArrayLoadFold,
+		RedundantStoreElim: o.RedundantStoreElim, PessimisticEscape: o.PessimisticEscape,
+	}
+}}
 
 func ipsccp(m *ir.Module, o Options, inv *Invalidation) bool {
 	if o.GlobalProp == GlobalPropNone {

@@ -12,7 +12,9 @@ import (
 // loads when nothing in the loop can write the location (no may-aliasing
 // stores, no internal calls, and — for escaping storage — no external
 // calls).
-var LICM = Pass{Name: "licm", Pre: ComputeEscapesOpt, Fn: licmFunc}
+var LICM = Pass{Name: "licm", Pre: ComputeEscapesOpt, Fn: licmFunc, Reads: func(o Options) Options {
+	return Options{Alias: o.Alias, PessimisticEscape: o.PessimisticEscape}
+}}
 
 func licmFunc(f *ir.Func, o Options) bool {
 	changed := false

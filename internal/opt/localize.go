@@ -20,7 +20,9 @@ import (
 // value back to the global before every return of main — exactly the
 // compromise a real compiler faces when the global's final value is
 // observable.
-var LocalizeGlobals = Pass{Name: "localize-globals", Run: localizeGlobals}
+var LocalizeGlobals = Pass{Name: "localize-globals", Run: localizeGlobals, Reads: func(o Options) Options {
+	return Options{GlobalLocalize: o.GlobalLocalize, PessimisticEscape: o.PessimisticEscape}
+}}
 
 func localizeGlobals(m *ir.Module, o Options, inv *Invalidation) bool {
 	if !o.GlobalLocalize {

@@ -183,6 +183,32 @@ type Pass struct {
 	// Changed functions are reported through inv; the manager skips the
 	// whole pass when nothing in the module changed since its last run.
 	Run func(m *ir.Module, o Options, inv *Invalidation) bool
+
+	// Reads projects Options onto the fields the pass, its Pre and Post
+	// hooks and their helpers read; nil means it reads none. Two instances
+	// of the pass whose projections agree transform the same module
+	// identically, which is what lets a program's configurations share the
+	// instance (internal/core's compile trie). TestPassReads checks every
+	// declaration.
+	Reads func(Options) Options
+}
+
+// Key is what decides whether two configurations can share an instance of
+// the pass: the pass, the options it reads, and whether the manager
+// verifies after it.
+type Key struct {
+	Pass   string
+	Reads  Options
+	Verify bool
+}
+
+// Key returns the pass's sharing key under o.
+func (p Pass) Key(o Options) Key {
+	k := Key{Pass: p.Name, Verify: o.VerifyEachPass}
+	if p.Reads != nil {
+		k.Reads = p.Reads(o)
+	}
+	return k
 }
 
 // PassStats describes one executed pass instance to an Observer: the
@@ -228,10 +254,10 @@ type Observer interface {
 // repeated pass groups (e.g. instcombine/simplifycfg interleavings) that
 // production pipelines contain.
 func Pipeline(m *ir.Module, o Options, passes []Pass, maxIters int) error {
-	return ObservedPipeline(m, o, passes, maxIters, nil)
+	return ObservedPipeline(NewRun(m, o, passes, maxIters), nil)
 }
 
-// pipeState is the dirty-tracking bookkeeping of one ObservedPipeline call.
+// pipeState is the dirty-tracking bookkeeping of one pipeline run.
 //
 // Soundness of every skip rests on one property: a pass is a deterministic
 // function of (the function body, the module-level facts it refreshes
@@ -244,9 +270,9 @@ type pipeState struct {
 	// pid maps schedule positions to dense pass identities (by name):
 	// instances of the same pass at different schedule positions share
 	// dirty-tracking state, so the second instcombine of a schedule skips
-	// functions the first one already left clean.
-	pid  []int
-	nIDs int
+	// functions the first one already left clean. names maps them back.
+	pid   []int
+	names []string
 
 	// seen[f][id] holds 1 + the generation f had when pass id last started
 	// a visit of f; 0 means never visited. The pass re-visits whenever the
@@ -282,22 +308,58 @@ func newPipeState(passes []Pass) *pipeState {
 		if !ok {
 			id = len(ids)
 			ids[p.Name] = id
+			ps.names = append(ps.names, p.Name)
 		}
 		ps.pid[i] = id
 	}
-	ps.nIDs = len(ids)
-	ps.lastRun = make([]uint64, ps.nIDs)
-	ps.lastPre = make([]uint64, ps.nIDs)
-	ps.lastFacts = make([]uint64, ps.nIDs)
+	n := len(ps.names)
+	ps.lastRun = make([]uint64, n)
+	ps.lastPre = make([]uint64, n)
+	ps.lastFacts = make([]uint64, n)
 	ps.moduleGen = 1 // so the zero value of lastRun/lastPre means "never"
 	ps.factsGen = 1
 	return ps
 }
 
+// rebase returns the state as a run of passes sees it, over the functions
+// funcs maps the tracked ones to. Identities move by pass name; a pass
+// the new schedule lacks has never run (the schedules share what ran), so
+// its state is all zero and nothing is lost.
+func (ps *pipeState) rebase(passes []Pass, funcs func(*ir.Func) *ir.Func) *pipeState {
+	nps := newPipeState(passes)
+	nps.moduleGen, nps.factsGen = ps.moduleGen, ps.factsGen
+	to := make([]int, len(ps.names))
+	for old, name := range ps.names {
+		to[old] = -1
+		for id, n := range nps.names {
+			if n == name {
+				to[old] = id
+				nps.lastRun[id] = ps.lastRun[old]
+				nps.lastPre[id] = ps.lastPre[old]
+				nps.lastFacts[id] = ps.lastFacts[old]
+			}
+		}
+	}
+	for f, sn := range ps.seen {
+		nf := funcs(f)
+		if nf == nil {
+			continue
+		}
+		nsn := make([]uint64, len(nps.names))
+		for old, id := range to {
+			if id >= 0 {
+				nsn[id] = sn[old]
+			}
+		}
+		nps.seen[nf] = nsn
+	}
+	return nps
+}
+
 func (ps *pipeState) seenOf(f *ir.Func) []uint64 {
 	sn := ps.seen[f]
 	if sn == nil {
-		sn = make([]uint64, ps.nIDs)
+		sn = make([]uint64, len(ps.names))
 		ps.seen[f] = sn
 	}
 	return sn
@@ -391,12 +453,142 @@ func (ps *pipeState) runFuncPass(m *ir.Module, p Pass, id int, o Options) (bool,
 	return changed, st
 }
 
-// ObservedPipeline is Pipeline with an observer attached to every executed
-// pass instance; obs may be nil.
-func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs Observer) error {
+// Run is one pipeline run over a module, paused between two pass
+// instances: the schedule and options, the position of the next instance
+// (iteration and schedule index), whether the iteration changed anything
+// so far, and the dirty-tracking state. Step executes one instance with no
+// observer, Clone and Retarget fork the run where configurations' schedules
+// diverge, and ObservedPipeline runs it to the end. A Run is used by one
+// goroutine at a time.
+type Run struct {
+	m        *ir.Module
+	o        Options
+	passes   []Pass
+	maxIters int
+	ps       *pipeState
+
+	iter, pos int
+	changed   bool
+
+	// log holds the instances Step executed, for ObservedPipeline to report
+	// to its observer before it continues.
+	log []Event
+}
+
+// Event is one pass instance Step executed: what ObservedPipeline reports
+// for it, and the remarks it emitted, as the observer would have seen them
+// had it been attached when the instance ran.
+type Event struct {
+	Pass          string
+	ScheduleIndex int
+	Iteration     int
+	Stats         PassStats
+	Remarks       []Remark
+}
+
+// NewRun returns the pipeline over m paused before its first pass.
+func NewRun(m *ir.Module, o Options, passes []Pass, maxIters int) *Run {
 	if maxIters < 1 {
 		maxIters = 1
 	}
+	return &Run{m: m, o: o, passes: passes, maxIters: maxIters, ps: newPipeState(passes)}
+}
+
+// Module returns the module the run optimizes.
+func (r *Run) Module() *ir.Module { return r.m }
+
+// Log returns the instances Step executed, in order.
+func (r *Run) Log() []Event { return r.log }
+
+// Next returns the pass the run executes next, or false when the first
+// iteration has ended: Step runs first-iteration instances only.
+func (r *Run) Next() (Pass, bool) {
+	if r.iter > 0 || r.pos >= len(r.passes) {
+		return Pass{}, false
+	}
+	return r.passes[r.pos], true
+}
+
+// Options returns the options the run executes under.
+func (r *Run) Options() Options { return r.o }
+
+// Step executes the next instance of the first iteration with no observer
+// attached and logs it. With remarks set, the instance emits its remarks
+// into the log and counts what it applied, as it would for a remark sink.
+func (r *Run) Step(remarks bool) error {
+	p, ok := r.Next()
+	if !ok {
+		return fmt.Errorf("opt: step past the first iteration")
+	}
+	o := r.o
+	var rl remarkLog
+	if remarks {
+		o.remarks = &remarkCtx{sink: &rl, pass: p.Name, index: r.pos}
+	}
+	start := time.Now()
+	changed, st := r.exec(p, o)
+	st.Duration = time.Since(start)
+	if remarks {
+		st.Applied = o.remarks.applied
+	}
+	r.changed = r.changed || changed
+	r.log = append(r.log, Event{Pass: p.Name, ScheduleIndex: r.pos, Stats: st, Remarks: rl})
+	r.pos++
+	if o.VerifyEachPass {
+		if err := ir.Verify(r.m); err != nil {
+			return fmt.Errorf("opt: after pass %s (iteration %d): %w", p.Name, 0, err)
+		}
+	}
+	return nil
+}
+
+// remarkLog is the remark sink of a Step.
+type remarkLog []Remark
+
+func (l *remarkLog) Remark(r Remark) { *l = append(*l, r) }
+
+// exec executes the instance of p at the run's position under o.
+func (r *Run) exec(p Pass, o Options) (bool, PassStats) {
+	if p.Run != nil {
+		return r.ps.runModulePass(r.m, p, r.ps.pid[r.pos], o)
+	}
+	return r.ps.runFuncPass(r.m, p, r.ps.pid[r.pos], o)
+}
+
+// Clone returns a copy of the run on a deep copy of its module
+// (ir.Module.Clone), so both continue independently.
+func (r *Run) Clone() *Run {
+	m := r.m.Clone()
+	funcs := make(map[*ir.Func]*ir.Func, len(r.m.Funcs))
+	for i, f := range r.m.Funcs {
+		funcs[f] = m.Funcs[i]
+	}
+	c := *r
+	c.m = m
+	c.ps = r.ps.rebase(r.passes, func(f *ir.Func) *ir.Func { return funcs[f] })
+	c.log = r.log[:len(r.log):len(r.log)]
+	return &c
+}
+
+// Retarget continues the run under another schedule and options. The new
+// schedule must agree with the old one on every instance executed so far
+// (pass and the options it reads); the dirty-tracking state moves over by
+// pass name.
+func (r *Run) Retarget(o Options, passes []Pass, maxIters int) {
+	if maxIters < 1 {
+		maxIters = 1
+	}
+	r.ps = r.ps.rebase(passes, func(f *ir.Func) *ir.Func { return f })
+	r.o, r.passes, r.maxIters = o, passes, maxIters
+}
+
+// ObservedPipeline runs r to the end with an observer attached to every
+// pass instance; obs may be nil. A resumed run first reports the instances
+// Step executed — their remarks, then the instance itself — so the
+// observer sees the calls an unpaused run would have made, in the same
+// order.
+func ObservedPipeline(r *Run, obs Observer) error {
+	m, o := r.m, r.o
 	if obs != nil {
 		obs.BeginPipeline(m)
 		// An observer that is also a remark sink turns pass-side remark
@@ -405,44 +597,50 @@ func ObservedPipeline(m *ir.Module, o Options, passes []Pass, maxIters int, obs 
 		if sink, ok := obs.(RemarkSink); ok {
 			o.remarks = &remarkCtx{sink: sink}
 		}
+		for _, ev := range r.log {
+			st := ev.Stats
+			if o.remarks != nil {
+				for _, rm := range ev.Remarks {
+					o.remarks.sink.Remark(rm)
+				}
+			} else {
+				st.Applied = 0
+			}
+			obs.AfterPass(m, ev.Pass, ev.ScheduleIndex, ev.Iteration, st)
+		}
 	}
-	ps := newPipeState(passes)
-	for iter := 0; iter < maxIters; iter++ {
-		changed := false
-		for i, p := range passes {
+	r.log = nil
+	for ; r.iter < r.maxIters; r.iter++ {
+		for ; r.pos < len(r.passes); r.pos++ {
+			p := r.passes[r.pos]
 			var start time.Time
 			if obs != nil {
 				start = time.Now()
 			}
 			if o.remarks != nil {
-				*o.remarks = remarkCtx{sink: o.remarks.sink, pass: p.Name, index: i, iter: iter}
+				*o.remarks = remarkCtx{sink: o.remarks.sink, pass: p.Name, index: r.pos, iter: r.iter}
 			}
-			var passChanged bool
-			var st PassStats
-			if p.Run != nil {
-				passChanged, st = ps.runModulePass(m, p, ps.pid[i], o)
-			} else {
-				passChanged, st = ps.runFuncPass(m, p, ps.pid[i], o)
-			}
+			passChanged, st := r.exec(p, o)
 			if passChanged {
-				changed = true
+				r.changed = true
 			}
 			if obs != nil {
 				st.Duration = time.Since(start)
 				if o.remarks != nil {
 					st.Applied = o.remarks.applied
 				}
-				obs.AfterPass(m, p.Name, i, iter, st)
+				obs.AfterPass(m, p.Name, r.pos, r.iter, st)
 			}
 			if o.VerifyEachPass {
 				if err := ir.Verify(m); err != nil {
-					return fmt.Errorf("opt: after pass %s (iteration %d): %w", p.Name, iter, err)
+					return fmt.Errorf("opt: after pass %s (iteration %d): %w", p.Name, r.iter, err)
 				}
 			}
 		}
-		if !changed {
+		if !r.changed {
 			break
 		}
+		r.pos, r.changed = 0, false
 	}
 	if !o.VerifyEachPass {
 		if err := ir.Verify(m); err != nil {

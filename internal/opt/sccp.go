@@ -13,7 +13,9 @@ import (
 // (&global + offset) so that pointer comparisons can be decided. The
 // FoldPtrCmpNonzeroOffset option gates folding &a == &b+k for k != 0,
 // reproducing LLVM's EarlyCSE limitation from paper Listing 3.
-var SCCP = Pass{Name: "sccp", Fn: sccpFunc}
+var SCCP = Pass{Name: "sccp", Fn: sccpFunc, Reads: func(o Options) Options {
+	return Options{FoldPtrCmpNonzeroOffset: o.FoldPtrCmpNonzeroOffset}
+}}
 
 var sccpPool = sync.Pool{New: func() any { return new(sccpState) }}
 

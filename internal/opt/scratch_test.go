@@ -84,7 +84,7 @@ func TestPooledScratchZero(t *testing.T) {
 		if seed%2 == 1 {
 			obs = remarkSink{}
 		}
-		if err := ObservedPipeline(m, o, passes, 2, obs); err != nil {
+		if err := ObservedPipeline(NewRun(m, o, passes, 2), obs); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}

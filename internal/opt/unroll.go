@@ -12,7 +12,9 @@ import (
 // SCCP and InstCombine can finish the folding. Full unrolling is what lets
 // compilers prove loop-carried facts like Listing 9e's `c[0]` being
 // written on every path.
-var Unroll = Pass{Name: "unroll", Fn: unrollFunc}
+var Unroll = Pass{Name: "unroll", Fn: unrollFunc, Reads: func(o Options) Options {
+	return Options{UnrollMaxTrip: o.UnrollMaxTrip}
+}}
 
 func unrollFunc(f *ir.Func, o Options) bool {
 	if o.UnrollMaxTrip <= 0 {

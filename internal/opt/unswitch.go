@@ -16,7 +16,9 @@ import (
 // opaque to all later constant propagation. Whether the unswitcher runs
 // before or after the folding passes is a scheduling decision
 // (internal/pipeline), which is exactly where the paper's regression lived.
-var Unswitch = Pass{Name: "unswitch", Fn: unswitchFunc}
+var Unswitch = Pass{Name: "unswitch", Fn: unswitchFunc, Reads: func(o Options) Options {
+	return Options{AggressiveUnswitch: o.AggressiveUnswitch}
+}}
 
 func unswitchFunc(f *ir.Func, o Options) bool {
 	// Unreachable leftovers can carry edges into loop bodies, which

@@ -18,7 +18,9 @@ import (
 //   - ConstArrayLoadFold interacts elsewhere; the modulo-range relation of
 //     Listing 8b corresponds to rem range computation below, which is
 //     always on (its absence shows up in llvm-sim's history as a commit).
-var VRP = Pass{Name: "vrp", Fn: vrpFunc}
+var VRP = Pass{Name: "vrp", Fn: vrpFunc, Reads: func(o Options) Options {
+	return Options{ShiftNonzeroRelation: o.ShiftNonzeroRelation}
+}}
 
 // vrange is a signed interval [lo, hi]; full means "no information".
 type vrange struct {

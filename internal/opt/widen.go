@@ -16,7 +16,9 @@ import (
 //
 // The transformation itself is semantics-preserving: only the forwarding
 // metadata changes.
-var WidenStores = Pass{Name: "widen-stores", Fn: widenStoresFunc}
+var WidenStores = Pass{Name: "widen-stores", Fn: widenStoresFunc, Reads: func(o Options) Options {
+	return Options{WidenPointerLoopStores: o.WidenPointerLoopStores}
+}}
 
 func widenStoresFunc(f *ir.Func, o Options) bool {
 	if !o.WidenPointerLoopStores {

@@ -99,9 +99,26 @@ func (c *Config) Passes() []opt.Pass { return c.schedule }
 // configuration, reporting every executed pass instance to obs (nil
 // disables observation). An obs that is also an opt.RemarkSink switches
 // the passes' remark emission on. internal/core.Compile is the full
-// lower → optimize → emit path built on it.
+// lower → optimize → emit path built on Start and Finish.
 func (c *Config) CompileObserved(m *ir.Module, obs opt.Observer) error {
-	if err := opt.ObservedPipeline(m, c.opts, c.schedule, c.iters, obs); err != nil {
+	return c.Finish(c.Start(m), obs)
+}
+
+// Start returns the configuration's pipeline over m, paused before its
+// first pass.
+func (c *Config) Start(m *ir.Module) *opt.Run {
+	return opt.NewRun(m, c.opts, c.schedule, c.iters)
+}
+
+// Retarget continues r, a run some other configuration started, as this
+// configuration's pipeline. The two schedules must agree on every instance
+// r executed so far.
+func (c *Config) Retarget(r *opt.Run) { r.Retarget(c.opts, c.schedule, c.iters) }
+
+// Finish runs r, one of this configuration's pipelines, to the end,
+// reporting every pass instance to obs as CompileObserved does.
+func (c *Config) Finish(r *opt.Run, obs opt.Observer) error {
+	if err := opt.ObservedPipeline(r, obs); err != nil {
 		return fmt.Errorf("%s: %w", c.Name(), err)
 	}
 	return nil

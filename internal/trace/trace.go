@@ -127,6 +127,30 @@ func SurvivingMarkers(m *ir.Module, isMarker func(string) bool) map[string]bool 
 	return out
 }
 
+// Scan is one observation of a module: the markers surviving in it and
+// its size. A recorder takes one at the start of the pipeline and one after
+// each instance that Rescans; a compile trie takes the same scans of the
+// module its configurations share and hands them to each configuration's
+// recorder (Recorder.Replay). A Scan is read-only once taken.
+type Scan struct {
+	surviving             map[string]bool
+	sorted                []string
+	funcs, blocks, instrs int
+}
+
+// ScanModule observes m; isMarker classifies call targets.
+func ScanModule(m *ir.Module, isMarker func(string) bool) *Scan {
+	s := &Scan{surviving: SurvivingMarkers(m, isMarker)}
+	s.sorted = sortedKeys(s.surviving)
+	s.funcs, s.blocks, s.instrs = moduleSize(m)
+	return s
+}
+
+// Rescans reports whether a recorder scans the module after an instance
+// with these stats. One the dirty tracker skipped entirely left the module
+// as the previous observation saw it.
+func Rescans(st opt.PassStats) bool { return st.Changed || st.FuncsVisited > 0 }
+
 // Recorder accumulates a Profile while observing a pipeline run. It
 // implements opt.Observer. A Recorder traces exactly one compilation.
 type Recorder struct {
@@ -135,9 +159,10 @@ type Recorder struct {
 	// at pipeline entry are attributed to the frontend.
 	markers []string
 
-	surviving           map[string]bool
-	survivingSorted     []string
-	funcs, blocks, inst int
+	last *Scan
+	// replay queues scans taken elsewhere of the module as this recorder's
+	// next observations would see it (Replay).
+	replay []*Scan
 
 	profile Profile
 	began   bool
@@ -156,16 +181,30 @@ func NewRecorder(markers []string, isMarker func(string) bool) *Recorder {
 	}
 }
 
+// Replay queues scans for the recorder's next observations, in order:
+// the start of the pipeline, then each instance that Rescans. A compile
+// that resumes after work its configurations shared replays that work's
+// scans instead of rescanning a module that has moved on.
+func (r *Recorder) Replay(scans []*Scan) { r.replay = scans }
+
+// observe returns the next queued scan, or a scan of m.
+func (r *Recorder) observe(m *ir.Module) *Scan {
+	if len(r.replay) > 0 {
+		s := r.replay[0]
+		r.replay = r.replay[1:]
+		return s
+	}
+	return ScanModule(m, r.isMarker)
+}
+
 // BeginPipeline observes the module as the pipeline starts: the baseline
 // surviving-marker set and IR size. Markers from the table already gone
 // are attributed to the frontend.
 func (r *Recorder) BeginPipeline(m *ir.Module) {
-	r.surviving = SurvivingMarkers(m, r.isMarker)
-	r.survivingSorted = sortedKeys(r.surviving)
-	r.funcs, r.blocks, r.inst = moduleSize(m)
-	r.profile.InitialSurviving = r.survivingSorted
+	r.last = r.observe(m)
+	r.profile.InitialSurviving = r.last.sorted
 	for _, name := range r.markers {
-		if !r.surviving[name] {
+		if !r.last.surviving[name] {
 			r.attribute(name, Frontend)
 		}
 	}
@@ -181,7 +220,8 @@ func (r *Recorder) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration
 		r.BeginPipeline(m)
 	}
 	ref := PassRef{Pass: pass, ScheduleIndex: scheduleIndex, Iteration: iteration}
-	if !st.Changed && st.FuncsVisited == 0 {
+	prev := r.last
+	if !Rescans(st) {
 		// The dirty tracker skipped every function (or the whole module
 		// pass): nothing ran, so the module is bit-identical to the
 		// previous observation. Reuse it instead of rescanning — the
@@ -191,48 +231,47 @@ func (r *Recorder) AfterPass(m *ir.Module, pass string, scheduleIndex, iteration
 			Ref:      ref,
 			Changed:  false,
 			Duration: st.Duration,
-			Funcs:    r.funcs,
-			Blocks:   r.blocks,
-			Instrs:   r.inst,
+			Funcs:    prev.funcs,
+			Blocks:   prev.blocks,
+			Instrs:   prev.instrs,
 		})
 		return
 	}
-	now := SurvivingMarkers(m, r.isMarker)
+	now := r.observe(m)
 	var eliminated []string
-	for _, name := range r.survivingSorted {
-		if !now[name] {
+	for _, name := range prev.sorted {
+		if !now.surviving[name] {
 			eliminated = append(eliminated, name)
 			r.attribute(name, ref)
 		}
 	}
 	// A marker cannot reappear (passes only duplicate existing calls), but
 	// guard the attribution against it anyway: presence always wins.
-	for name := range now {
-		if !r.surviving[name] {
+	for name := range now.surviving {
+		if !prev.surviving[name] {
 			r.unattribute(name)
 		}
 	}
-	funcs, blocks, inst := moduleSize(m)
 	r.profile.Passes = append(r.profile.Passes, PassProfile{
 		Ref:        ref,
 		Changed:    st.Changed,
 		Duration:   st.Duration,
-		Funcs:      funcs,
-		Blocks:     blocks,
-		Instrs:     inst,
-		DFuncs:     funcs - r.funcs,
-		DBlocks:    blocks - r.blocks,
-		DInstrs:    inst - r.inst,
+		Funcs:      now.funcs,
+		Blocks:     now.blocks,
+		Instrs:     now.instrs,
+		DFuncs:     now.funcs - prev.funcs,
+		DBlocks:    now.blocks - prev.blocks,
+		DInstrs:    now.instrs - prev.instrs,
 		Eliminated: eliminated,
 	})
-	r.surviving = now
-	r.survivingSorted = sortedKeys(now)
-	r.funcs, r.blocks, r.inst = funcs, blocks, inst
+	r.last = now
 }
 
 // Profile finalizes and returns the accumulated trace.
 func (r *Recorder) Profile() *Profile {
-	r.profile.FinalSurviving = r.survivingSorted
+	if r.last != nil {
+		r.profile.FinalSurviving = r.last.sorted
+	}
 	sort.Strings(r.profile.prov.Markers)
 	return &r.profile
 }
