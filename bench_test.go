@@ -312,11 +312,13 @@ func BenchmarkTable5ReportTriage(b *testing.B) {
 // IR scans bound the profiling overhead.
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			analyzeOneProgram(b, int64(3000+i))
 		}
 	})
 	b.Run("on", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			seed := int64(3000 + i)
 			ins, err := Instrument(Generate(seed))
@@ -338,16 +340,17 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	})
 }
 
-// BenchmarkHarnessOverhead measures what fault isolation costs: the "off"
-// case runs the plain single-program unit, the "on" case runs the identical
 // BenchmarkCampaignParallel measures campaign throughput across worker
 // counts: the same fixed corpus on 1, 2, and 4 workers plus GOMAXPROCS.
-// Per-seed-per-config units are independent, so on a multi-core machine
-// the campaign should scale close to linearly until the core count bounds
-// it (scripts/check.sh gates ≥1.5× at -j 4 on machines with ≥4 CPUs; on
-// fewer cores the workers time-slice one CPU and no speedup is possible).
-// The byte-identity of the outputs across these worker counts is asserted
-// separately (TestParallelCampaignByteIdentity).
+// A seed's prepare stage builds the program, lowers it once and runs the
+// pass instances its configurations share (core.Trie); after that, each
+// (seed, config) unit continues on its own module, independent of the
+// others. So on a multi-core machine the campaign should scale close to
+// linearly until the core count bounds it (scripts/check.sh gates ≥1.5× at
+// -j 4 on machines with ≥4 CPUs; on fewer cores the workers time-slice one
+// CPU and no speedup is possible). The byte-identity of the outputs across
+// these worker counts is asserted separately
+// (TestParallelCampaignByteIdentity).
 func BenchmarkCampaignParallel(b *testing.B) {
 	const programs = 12
 	variants := []struct {
@@ -373,17 +376,21 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkHarnessOverhead measures what fault isolation costs: the "off"
+// case runs the plain single-program unit, the "on" case runs the identical
 // unit with every compilation wrapped in harness.Protect (defer/recover plus
 // the step-budget watchdog counting pass instances). The wrapper should be
 // within a few percent of the unprotected run — campaigns pay essentially
 // nothing for crash isolation on the fault-free path.
 func BenchmarkHarnessOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			analyzeOneProgram(b, int64(4000+i))
 		}
 	})
 	b.Run("on", func(b *testing.B) {
+		b.ReportAllocs()
 		h := &harness.Harness{}
 		for i := 0; i < b.N; i++ {
 			seed := int64(4000 + i)
@@ -423,11 +430,13 @@ func BenchmarkHarnessOverhead(b *testing.B) {
 // budget scripts/check.sh smoke-tests).
 func BenchmarkMetricsOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			analyzeOneProgram(b, int64(5000+i))
 		}
 	})
 	b.Run("on", func(b *testing.B) {
+		b.ReportAllocs()
 		reg := metrics.New()
 		for i := 0; i < b.N; i++ {
 			seed := int64(5000 + i)
@@ -488,6 +497,7 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 		}
 	}
 	b.Run("off", func(b *testing.B) {
+		b.ReportAllocs()
 		reg := metrics.New()
 		for i := 0; i < b.N; i++ {
 			unit(b, int64(6000+i), reg)
@@ -495,6 +505,7 @@ func BenchmarkMonitorOverhead(b *testing.B) {
 		}
 	})
 	b.Run("on", func(b *testing.B) {
+		b.ReportAllocs()
 		reg := metrics.New()
 		prog := harness.NewProgress(b.N, 1, reg)
 		events := metrics.NewEventLog(io.Discard)
@@ -543,11 +554,13 @@ func BenchmarkSpanOverhead(b *testing.B) {
 		}
 	}
 	b.Run("off", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run(b, nil)
 		}
 	})
 	b.Run("on", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run(b, span.New(io.Discard))
 		}

@@ -31,10 +31,10 @@ type Trie struct {
 	// sharing; nil where the configuration was nil.
 	Paused []*Paused
 
-	// Lowerings, Shared and Clones count the trie's work: the lowerings
-	// (one), the pass instances run once for two or more configurations,
-	// and the module copies made where schedules forked.
-	Lowerings, Shared, Clones int
+	// Shared counts the pass instances run once for two or more
+	// configurations, and Clones the module copies made where schedules
+	// forked.
+	Shared, Clones int
 }
 
 // Paused is one configuration's compile, paused after the work it shares
@@ -106,7 +106,7 @@ func newTrie(ins *instrument.Program, cfgs []*pipeline.Config, traced, remarks b
 	start := time.Now()
 	m, err := lower.Lower(ins.Prog)
 	lw := &lowering{start: start, d: time.Since(start), err: err}
-	t := &Trie{Paused: make([]*Paused, len(cfgs)), Lowerings: 1}
+	t := &Trie{Paused: make([]*Paused, len(cfgs))}
 	for i, cfg := range cfgs {
 		if cfg == nil {
 			continue

@@ -500,27 +500,14 @@ func (r *Run) Module() *ir.Module { return r.m }
 // Log returns the instances Step executed, in order.
 func (r *Run) Log() []Event { return r.log }
 
-// Next returns the pass the run executes next, or false when the first
-// iteration has ended: Step runs first-iteration instances only.
-func (r *Run) Next() (Pass, bool) {
-	if r.iter > 0 || r.pos >= len(r.passes) {
-		return Pass{}, false
-	}
-	return r.passes[r.pos], true
-}
-
-// Options returns the options the run executes under.
-func (r *Run) Options() Options { return r.o }
-
 // Step executes the next instance of the first iteration with no observer
 // attached and logs it. With remarks set, the instance emits its remarks
 // into the log and counts what it applied, as it would for a remark sink.
 func (r *Run) Step(remarks bool) error {
-	p, ok := r.Next()
-	if !ok {
+	if r.iter > 0 || r.pos >= len(r.passes) {
 		return fmt.Errorf("opt: step past the first iteration")
 	}
-	o := r.o
+	p, o := r.passes[r.pos], r.o
 	var rl remarkLog
 	if remarks {
 		o.remarks = &remarkCtx{sink: &rl, pass: p.Name, index: r.pos}
