@@ -19,8 +19,9 @@ import (
 // projected options (opt.Pass.Key) agree at that position of the schedule.
 // Where schedules fork, the module and the pass manager's state are
 // cloned, one copy per branch but the last, which keeps the original.
-// Each configuration leaves the trie at its fork, or alone when its first
-// iteration ends, so later iterations are never shared.
+// A configuration leaves the trie where its key differs from every other
+// member's, or alone when its first iteration ends, so later iterations
+// are never shared.
 //
 // Shared work calls no consumer. It records what each configuration's
 // consumers would have seen (see Paused), and each configuration's compile

@@ -1,6 +1,10 @@
 package ir
 
-import "dcelens/internal/types"
+import (
+	"fmt"
+
+	"dcelens/internal/types"
+)
 
 // Clone returns a deep copy of the module: every global, function, block
 // and instruction is a new object, and the copy shares nothing mutable
@@ -17,32 +21,35 @@ import "dcelens/internal/types"
 // Each object is allocated on its own, as the lowerer and the passes
 // allocate them, so a deleted instruction of the copy is garbage as soon
 // as nothing references it.
+//
+// Clone panics when a function's body references a block or value that
+// is not in it, or lists one twice, or anything references a global or
+// function outside the module: states no pass leaves.
 func (m *Module) Clone() *Module {
-	c := &cloner{
-		globals: make(map[*Global]*Global, len(m.Globals)),
-		funcs:   make(map[*Func]*Func, len(m.Funcs)),
-	}
+	globals := make(map[*Global]*Global, len(m.Globals))
+	funcs := make(map[*Func]*Func, len(m.Funcs))
 	out := &Module{
 		Globals: cloneSlice(m.Globals, func(g *Global) *Global {
 			ng := *g
-			c.globals[g] = &ng
+			globals[g] = &ng
 			return &ng
 		}),
 		Funcs: cloneSlice(m.Funcs, func(f *Func) *Func {
 			nf := *f
 			nf.ParamTys = cloneSlice(f.ParamTys, func(t *types.Type) *types.Type { return t })
-			c.funcs[f] = &nf
+			funcs[f] = &nf
 			return &nf
 		}),
 	}
 	for _, g := range out.Globals {
 		g.Init = cloneSlice(g.Init, func(k Const) Const {
-			k.Global = c.global(k.Global)
+			k.Global = remap(globals, k.Global)
 			return k
 		})
 	}
+	c := &bodyCloner{globals: globals, funcs: funcs}
 	for i, f := range m.Funcs {
-		c.cloneBody(f, out.Funcs[i])
+		c.clone(f, out.Funcs[i])
 	}
 	return out
 }
@@ -60,22 +67,16 @@ func cloneSlice[T any](s []T, fn func(T) T) []T {
 	return out
 }
 
-// cloner maps the originals of one Clone call to their copies. Blocks and
-// instructions are found by ID in dense tables, which each function resets;
-// an object the tables do not hold (one that references a block or value
-// no longer in its function) is copied on first reference and recorded in
-// the fallback maps, so even such a reference keeps its identity.
-type cloner struct {
+// bodyCloner copies function bodies. It finds the copy of a block or
+// value in a table indexed by its ID, whose slots also hold the original,
+// so that an object of another function with a colliding ID is never
+// taken for the one the slot holds.
+type bodyCloner struct {
 	globals map[*Global]*Global
 	funcs   map[*Func]*Func
-
-	blocks []blockPair // by Block.ID
-	instrs []instrPair // by Instr.ID
-	extraB map[*Block]*Block
-	extraI map[*Instr]*Instr
-	// todo holds copies whose references still point at originals.
-	todoB []*Block
-	todoI []*Instr
+	f       *Func
+	blocks  []blockPair // by Block.ID
+	instrs  []instrPair // by Instr.ID
 }
 
 type (
@@ -83,127 +84,85 @@ type (
 	instrPair struct{ old, new *Instr }
 )
 
-func (c *cloner) global(g *Global) *Global {
-	if ng, ok := c.globals[g]; ok {
-		return ng
-	}
-	return g
-}
-
-func (c *cloner) fn(f *Func) *Func {
-	if nf, ok := c.funcs[f]; ok {
-		return nf
-	}
-	return f
-}
-
-// cloneBody copies f's blocks and instructions into nf.
-func (c *cloner) cloneBody(f, nf *Func) {
-	c.blocks = resize(c.blocks, f.nextBlockID)
-	c.instrs = resize(c.instrs, f.nextValueID)
-	// First every object, so that references in any direction resolve.
-	nf.Blocks = cloneSlice(f.Blocks, func(b *Block) *Block {
-		nb := c.newBlock(b)
-		if uint(b.ID) < uint(len(c.blocks)) && c.blocks[b.ID].old == nil {
-			c.blocks[b.ID] = blockPair{b, nb}
-		} else {
-			c.extra(b, nb)
-		}
+// clone copies f's body into nf: every object first, then every
+// reference through the tables.
+func (c *bodyCloner) clone(f, nf *Func) {
+	nb, nv := f.nextBlockID, f.nextValueID
+	for _, b := range f.Blocks {
+		nb = max(nb, b.ID+1)
 		for _, in := range b.Instrs {
-			ni := c.newInstr(in)
-			if uint(in.ID) < uint(len(c.instrs)) && c.instrs[in.ID].old == nil {
-				c.instrs[in.ID] = instrPair{in, ni}
-			} else {
-				c.extraInstr(in, ni)
+			nv = max(nv, in.ID+1)
+		}
+	}
+	c.f = f
+	c.blocks = resize(c.blocks, nb)
+	c.instrs = resize(c.instrs, nv)
+	nf.Blocks = cloneSlice(f.Blocks, func(b *Block) *Block {
+		if c.blocks[b.ID].old != nil {
+			panic(fmt.Sprintf("ir: Clone: @%s lists b%d twice", f.Name, b.ID))
+		}
+		cb := &Block{ID: b.ID, Func: nf}
+		c.blocks[b.ID] = blockPair{b, cb}
+		for _, in := range b.Instrs {
+			if c.instrs[in.ID].old != nil {
+				panic(fmt.Sprintf("ir: Clone: @%s lists v%d twice", f.Name, in.ID))
 			}
+			ci := new(Instr)
+			*ci = *in
+			c.instrs[in.ID] = instrPair{in, ci}
 		}
-		return nb
+		return cb
 	})
-	// Then their references; resolving one may copy a detached object,
-	// which queues more.
-	for len(c.todoB) > 0 || len(c.todoI) > 0 {
-		if n := len(c.todoB); n > 0 {
-			nb := c.todoB[n-1]
-			c.todoB = c.todoB[:n-1]
-			nb.Func = c.fn(nb.Func)
-			nb.Instrs = cloneSlice(nb.Instrs, c.instr)
-			nb.Preds = cloneSlice(nb.Preds, c.block)
-			continue
+	for _, p := range c.blocks {
+		if b := p.old; b != nil {
+			p.new.Instrs = cloneSlice(b.Instrs, c.instr)
+			p.new.Preds = cloneSlice(b.Preds, c.block)
 		}
-		n := len(c.todoI)
-		ni := c.todoI[n-1]
-		c.todoI = c.todoI[:n-1]
-		ni.Args = cloneSlice(ni.Args, c.instr)
-		ni.Block = c.block(ni.Block)
-		ni.Global = c.global(ni.Global)
-		ni.Callee = c.fn(ni.Callee)
-		ni.Targets = cloneSlice(ni.Targets, c.block)
-		ni.PhiPreds = cloneSlice(ni.PhiPreds, c.block)
 	}
-	clear(c.extraB)
-	clear(c.extraI)
-}
-
-// newBlock allocates b's copy; its references are resolved from todoB.
-func (c *cloner) newBlock(b *Block) *Block {
-	nb := &Block{ID: b.ID, Func: b.Func, Instrs: b.Instrs, Preds: b.Preds}
-	c.todoB = append(c.todoB, nb)
-	return nb
-}
-
-// newInstr allocates in's copy; its references are resolved from todoI.
-func (c *cloner) newInstr(in *Instr) *Instr {
-	ni := new(Instr)
-	*ni = *in
-	c.todoI = append(c.todoI, ni)
-	return ni
-}
-
-func (c *cloner) extra(b, nb *Block) {
-	if c.extraB == nil {
-		c.extraB = map[*Block]*Block{}
+	for _, p := range c.instrs {
+		if in := p.new; in != nil {
+			in.Args = cloneSlice(in.Args, c.instr)
+			in.Block = c.block(in.Block)
+			in.Global = remap(c.globals, in.Global)
+			in.Callee = remap(c.funcs, in.Callee)
+			in.Targets = cloneSlice(in.Targets, c.block)
+			in.PhiPreds = cloneSlice(in.PhiPreds, c.block)
+		}
 	}
-	c.extraB[b] = nb
 }
 
-func (c *cloner) extraInstr(in, ni *Instr) {
-	if c.extraI == nil {
-		c.extraI = map[*Instr]*Instr{}
+// remap returns x's copy; x must be in the module being cloned.
+func remap[T any](copies map[*T]*T, x *T) *T {
+	if x == nil {
+		return nil
 	}
-	c.extraI[in] = ni
+	c, ok := copies[x]
+	if !ok {
+		panic("ir: Clone: reference to a global or function outside the module")
+	}
+	return c
 }
 
-// block returns b's copy, copying b first if this is its first reference.
-func (c *cloner) block(b *Block) *Block {
+// block returns b's copy; b must be in the body being cloned.
+func (c *bodyCloner) block(b *Block) *Block {
 	if b == nil {
 		return nil
 	}
-	if uint(b.ID) < uint(len(c.blocks)) && c.blocks[b.ID].old == b {
-		return c.blocks[b.ID].new
+	if uint(b.ID) >= uint(len(c.blocks)) || c.blocks[b.ID].old != b {
+		panic(fmt.Sprintf("ir: Clone: @%s references b%d outside its body", c.f.Name, b.ID))
 	}
-	if nb, ok := c.extraB[b]; ok {
-		return nb
-	}
-	nb := c.newBlock(b)
-	c.extra(b, nb)
-	return nb
+	return c.blocks[b.ID].new
 }
 
-// instr returns in's copy, copying in first if this is its first
-// reference.
-func (c *cloner) instr(in *Instr) *Instr {
+// instr returns in's copy; in must be in the body being cloned.
+func (c *bodyCloner) instr(in *Instr) *Instr {
 	if in == nil {
 		return nil
 	}
-	if uint(in.ID) < uint(len(c.instrs)) && c.instrs[in.ID].old == in {
-		return c.instrs[in.ID].new
+	if uint(in.ID) >= uint(len(c.instrs)) || c.instrs[in.ID].old != in {
+		panic(fmt.Sprintf("ir: Clone: @%s references v%d outside its body", c.f.Name, in.ID))
 	}
-	if ni, ok := c.extraI[in]; ok {
-		return ni
-	}
-	ni := c.newInstr(in)
-	c.extraInstr(in, ni)
-	return ni
+	return c.instrs[in.ID].new
 }
 
 // resize returns s cleared and with length n, reusing its array when it

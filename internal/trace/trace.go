@@ -187,11 +187,15 @@ func NewRecorder(markers []string, isMarker func(string) bool) *Recorder {
 // scans instead of rescanning a module that has moved on.
 func (r *Recorder) Replay(scans []*Scan) { r.replay = scans }
 
-// observe returns the next queued scan, or a scan of m.
+// observe returns the next queued scan, or a scan of m. The queue is
+// dropped once empty, so a finished profile keeps no replayed scan but
+// its last one alive.
 func (r *Recorder) observe(m *ir.Module) *Scan {
 	if len(r.replay) > 0 {
 		s := r.replay[0]
-		r.replay = r.replay[1:]
+		if r.replay = r.replay[1:]; len(r.replay) == 0 {
+			r.replay = nil
+		}
 		return s
 	}
 	return ScanModule(m, r.isMarker)
