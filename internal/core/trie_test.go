@@ -178,6 +178,29 @@ func TestTrieShape(t *testing.T) {
 	}
 }
 
+// TestTrieRecordedTooLittle: a compile whose hooks attach a consumer the
+// shared work recorded nothing for compiles alone, so that consumer still
+// sees a whole compile.
+func TestTrieRecordedTooLittle(t *testing.T) {
+	ins := generated(t, 1)
+	cfgs := defaultConfigs()
+	tr, err := NewTrie(ins, cfgs, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const gccO1 = 1
+	h, obs, rec := observedHooks(ins)
+	comp, err := tr.Paused[gccO1].Compile(h)
+	got := finish(t, "shared", h, obs, rec, comp, err)
+	h, obs, rec = observedHooks(ins)
+	comp, err = Compile(ins, cfgs[gccO1], h)
+	want := finish(t, "alone", h, obs, rec, comp, err)
+	if !reflect.DeepEqual(withoutDurations(got.trace), withoutDurations(want.trace)) ||
+		!reflect.DeepEqual(got.remarks, want.remarks) || !reflect.DeepEqual(got.observer, want.observer) {
+		t.Errorf("a compile the trie recorded nothing for sees a different compile than one alone")
+	}
+}
+
 // TestTrieSharedPanic: a pass that panics while configurations share it
 // makes NewTrie return an error instead of a trie, so that every
 // configuration compiles, and fails, alone.
