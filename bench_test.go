@@ -896,16 +896,26 @@ func BenchmarkPass(b *testing.B) {
 
 // BenchmarkCampaignThroughput measures end-to-end campaign units/sec — the
 // number the whole middle-end hot-path work optimizes for. Each iteration
-// runs a small real campaign (default personalities × levels, so
-// programs×10 units) serially (j1) and at full width (jmax); the derived
-// units/s metric is what EXPERIMENTS.md tracks before/after.
+// runs a small real campaign over a fixed 12-seed corpus: all ten default
+// configurations (programs×10 units) serially (j1) and at full width
+// (jmax), and, in sweep, what one job of a dce-serve sweep computes —
+// gcc-sim and llvm-sim at -O3 with remarks, one worker. The derived units/s
+// metric is what EXPERIMENTS.md tracks before/after; B/op and allocs/op
+// are nearly deterministic (scripts/check.sh gates sweep's B/op).
 func BenchmarkCampaignThroughput(b *testing.B) {
 	const programs = 12
 	variants := []struct {
-		name    string
-		workers int
+		name string
+		opts corpus.Options
 	}{
-		{"j1", 1}, {"jmax", runtime.GOMAXPROCS(0)},
+		{"j1", corpus.Options{Workers: 1}},
+		{"jmax", corpus.Options{Workers: runtime.GOMAXPROCS(0)}},
+		{"sweep", corpus.Options{
+			Workers:       1,
+			Personalities: []pipeline.Personality{pipeline.GCC, pipeline.LLVM},
+			Levels:        []pipeline.Level{pipeline.O3},
+			Remarks:       true,
+		}},
 	}
 	for _, v := range variants {
 		b.Run(v.name, func(b *testing.B) {
@@ -914,10 +924,9 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				reg := metrics.New()
-				c, err := corpus.Run(corpus.Options{
-					Programs: programs, BaseSeed: 7100, Workers: v.workers,
-					Metrics: reg,
-				})
+				o := v.opts
+				o.Programs, o.BaseSeed, o.Metrics = programs, 7100, reg
+				c, err := corpus.Run(o)
 				if err != nil {
 					b.Fatal(err)
 				}
