@@ -21,7 +21,8 @@
 // queued jobs are cancelled, and the process exits 0. Nothing is lost:
 // resubmitting a drained job's spec with its checkpoint path resumes
 // exactly the unrun seeds and reports byte-identically to an
-// uninterrupted run.
+// uninterrupted run. With -cpuprofile or -memprofile, the profile is
+// written on that clean exit, after the drain.
 package main
 
 import (
@@ -50,7 +51,9 @@ func main() {
 	backoff := flag.Duration("backoff", 100*time.Millisecond, "first retry delay (doubles per attempt)")
 	workDir := flag.String("workdir", "", "directory for per-job checkpoint files (empty: in-memory)")
 	historyDir := flag.String("history", "", "directory for finished jobs' run-history snapshots (see dce-trend)")
+	prof := cli.Profiling()
 	flag.Parse()
+	defer prof.Start(tool)()
 
 	if *workDir != "" {
 		if err := os.MkdirAll(*workDir, 0o755); err != nil {

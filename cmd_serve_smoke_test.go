@@ -196,13 +196,15 @@ func TestCmdServeLifecycle(t *testing.T) {
 
 // TestCmdServeSIGTERMDrainResume: SIGTERM mid-campaign drains gracefully
 // — /healthz reports "draining", the running job checkpoints, the
-// process exits 0 — and a fresh server resuming from the checkpoint
-// finishes the job with a report byte-identical to an uninterrupted run.
+// process exits 0 and writes the CPU profile it was asked for — and a
+// fresh server resuming from the checkpoint finishes the job with a
+// report byte-identical to an uninterrupted run.
 func TestCmdServeSIGTERMDrainResume(t *testing.T) {
 	work := t.TempDir()
 	const spec = `{"programs": 40, "base_seed": 7, "workers": 1}`
+	cpuProfile := filepath.Join(t.TempDir(), "cpu.pprof")
 
-	cmd, addr, tail := startServe(t, "-workdir", work, "-executors", "1")
+	cmd, addr, tail := startServe(t, "-workdir", work, "-executors", "1", "-cpuprofile", cpuProfile)
 	defer func() {
 		_ = cmd.Process.Kill()
 		_ = cmd.Wait()
@@ -244,6 +246,11 @@ func TestCmdServeSIGTERMDrainResume(t *testing.T) {
 	}
 	if out := tail.String(); !strings.Contains(out, "draining") || !strings.Contains(out, "drained cleanly") {
 		t.Errorf("drain stderr missing announcements:\n%s", out)
+	}
+
+	// pprof profiles are gzip streams.
+	if prof, err := os.ReadFile(cpuProfile); err != nil || len(prof) < 2 || prof[0] != 0x1f || prof[1] != 0x8b {
+		t.Errorf("CPU profile after the drain: %d bytes, err %v; want a non-empty gzip file", len(prof), err)
 	}
 
 	ckpt := filepath.Join(work, "job-1.checkpoint.json")
