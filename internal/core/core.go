@@ -75,7 +75,7 @@ type Compilation struct {
 // cross-checked against the assembly scan, so a provenance entry can be
 // trusted to describe what the oracle observes.
 func Compile(ins *instrument.Program, cfg *pipeline.Config, h Hooks) (*Compilation, error) {
-	t, _, _ := newTrie(ins, []*pipeline.Config{cfg}, h.Trace != nil, h.Remarks != nil)
+	t := newTrie(ins, lowerTimed(ins), []*pipeline.Config{cfg}, h.Trace != nil, h.Remarks != nil)
 	return t.Paused[0].Compile(h)
 }
 

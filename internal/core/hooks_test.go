@@ -32,6 +32,16 @@ func generated(t *testing.T, seed int64) *instrument.Program {
 	return ins
 }
 
+// lowered returns the lowering a trie of ins starts from.
+func lowered(t *testing.T, ins *instrument.Program) *Lowering {
+	t.Helper()
+	lw, err := Lower(ins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return lw
+}
+
 // TestTraceAsmCrossCheckFails drives the failure path of the trace/asm
 // cross-check: the caller's observer runs after the trace recorder, so a
 // marker call it deletes at the last pass instance of -O0's two-instance

@@ -25,12 +25,20 @@ type MarkerCFG struct {
 const LiveRoot = ""
 
 // BuildMarkerCFG lowers the instrumented program without optimization and
-// derives the marker graph from the raw IR's control flow.
+// derives the marker graph from the raw IR's control flow (MarkerCFGOf).
 func BuildMarkerCFG(ins *instrument.Program) (*MarkerCFG, error) {
 	m, err := lower.Lower(ins.Prog)
 	if err != nil {
 		return nil, err
 	}
+	return MarkerCFGOf(m), nil
+}
+
+// MarkerCFGOf derives the marker graph from m, a program lowered without
+// optimization. It only reads m, so a seed lowers its program once
+// (Lower): the graph is derived from the module and the seed's trie then
+// optimizes it.
+func MarkerCFGOf(m *ir.Module) *MarkerCFG {
 	g := &MarkerCFG{Preds: map[string][]string{}}
 
 	// Locate each marker's block, and each function's call sites.
@@ -119,7 +127,7 @@ func BuildMarkerCFG(ins *instrument.Program) (*MarkerCFG, error) {
 			g.Preds[name] = dedupe(preds)
 		}
 	}
-	return g, nil
+	return g
 }
 
 func dedupe(in []string) []string {

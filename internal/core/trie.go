@@ -43,7 +43,7 @@ type Trie struct {
 type Paused struct {
 	cfg   *pipeline.Config
 	ins   *instrument.Program
-	lower *lowering
+	lower *Lowering
 	run   *opt.Run
 
 	// traced and remarks say what the shared work recorded: scans holds
@@ -54,32 +54,54 @@ type Paused struct {
 	scans           []*trace.Scan
 }
 
-// lowering is the extent and outcome of a trie's one lowering.
-type lowering struct {
+// Lowering is a program lowered without optimization, with the extent of
+// the lowering. A seed lowers its program once: the marker graph is
+// derived from the module (MarkerCFGOf), the seed's trie starts from it,
+// and every compile that continues from the trie reports the extent as
+// its "lower" phase.
+type Lowering struct {
+	m     *ir.Module
 	start time.Time
 	d     time.Duration
 	err   error
 }
 
-// NewTrie compiles ins under cfgs as a trie, as far as they share work.
+// Lower lowers ins and times the lowering.
+func Lower(ins *instrument.Program) (*Lowering, error) {
+	lw := lowerTimed(ins)
+	if lw.err != nil {
+		return nil, lw.err
+	}
+	return lw, nil
+}
+
+func lowerTimed(ins *instrument.Program) *Lowering {
+	start := time.Now()
+	m, err := lower.Lower(ins.Prog)
+	return &Lowering{m: m, start: start, d: time.Since(start), err: err}
+}
+
+// Module returns the lowered module.
+func (lw *Lowering) Module() *ir.Module { return lw.m }
+
+// NewTrie compiles ins under cfgs as a trie, as far as they share work,
+// starting from lw, the lowering of ins, whose module the trie takes over.
 // A nil configuration takes no part. traced and remarks say whether the
 // compiles that continue from the trie attach a trace and a remark
 // collector: the shared work then records the trace's scans and the
 // passes' remarks for them.
 //
-// When lowering or any shared pass instance fails or panics, NewTrie
-// returns an error and no trie. Each configuration should then compile
-// alone (Compile), so that its failure, if any, is its own.
-func NewTrie(ins *instrument.Program, cfgs []*pipeline.Config, traced, remarks bool) (t *Trie, err error) {
+// When any shared pass instance fails or panics, NewTrie returns an error
+// and no trie. Each configuration should then compile alone (Compile),
+// so that its failure, if any, is its own.
+func NewTrie(ins *instrument.Program, lw *Lowering, cfgs []*pipeline.Config, traced, remarks bool) (t *Trie, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			t, err = nil, fmt.Errorf("core: shared compile panicked: %v", r)
 		}
 	}()
-	t, m, lw := newTrie(ins, cfgs, traced, remarks)
-	if lw.err != nil {
-		return nil, lw.err
-	}
+	t = newTrie(ins, lw, cfgs, traced, remarks)
+	m := lw.m
 	var members []int
 	for i, p := range t.Paused {
 		if p != nil {
@@ -100,25 +122,21 @@ func NewTrie(ins *instrument.Program, cfgs []*pipeline.Config, traced, remarks b
 	return t, nil
 }
 
-// newTrie lowers ins and pauses every configuration over the lowered
-// module, each before its first pass, which is all a trie of one
-// configuration does.
-func newTrie(ins *instrument.Program, cfgs []*pipeline.Config, traced, remarks bool) (*Trie, *ir.Module, *lowering) {
-	start := time.Now()
-	m, err := lower.Lower(ins.Prog)
-	lw := &lowering{start: start, d: time.Since(start), err: err}
+// newTrie pauses every configuration over lw's module, each before its
+// first pass, which is all a trie of one configuration does.
+func newTrie(ins *instrument.Program, lw *Lowering, cfgs []*pipeline.Config, traced, remarks bool) *Trie {
 	t := &Trie{Paused: make([]*Paused, len(cfgs))}
 	for i, cfg := range cfgs {
 		if cfg == nil {
 			continue
 		}
 		p := &Paused{cfg: cfg, ins: ins, lower: lw, traced: traced, remarks: remarks}
-		if err == nil && len(cfgs) == 1 {
-			p.run = cfg.Start(m)
+		if lw.err == nil && len(cfgs) == 1 {
+			p.run = cfg.Start(lw.m)
 		}
 		t.Paused[i] = p
 	}
-	return t, m, lw
+	return t
 }
 
 // grow runs the instances that members (two or more) share on r, which is

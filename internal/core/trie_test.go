@@ -94,11 +94,11 @@ func TestTrieIdentity(t *testing.T) {
 	cfgs := defaultConfigs()
 	for seed := int64(1); seed <= identitySeeds; seed++ {
 		ins := generated(t, seed)
-		bare, err := NewTrie(ins, cfgs, false, false)
+		bare, err := NewTrie(ins, lowered(t, ins), cfgs, false, false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		hooked, err := NewTrie(ins, cfgs, true, true)
+		hooked, err := NewTrie(ins, lowered(t, ins), cfgs, true, true)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -152,11 +152,12 @@ func TestTrieIdentity(t *testing.T) {
 func TestTrieShape(t *testing.T) {
 	cfgs := defaultConfigs()
 	for seed := int64(1); seed <= 20; seed++ {
-		tr, err := NewTrie(generated(t, seed), cfgs, false, false)
+		ins := generated(t, seed)
+		tr, err := NewTrie(ins, lowered(t, ins), cfgs, false, false)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		lowerings := map[*lowering]bool{}
+		lowerings := map[*Lowering]bool{}
 		for _, p := range tr.Paused {
 			lowerings[p.lower] = true
 		}
@@ -184,7 +185,7 @@ func TestTrieShape(t *testing.T) {
 func TestTrieRecordedTooLittle(t *testing.T) {
 	ins := generated(t, 1)
 	cfgs := defaultConfigs()
-	tr, err := NewTrie(ins, cfgs, false, false)
+	tr, err := NewTrie(ins, lowered(t, ins), cfgs, false, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,8 @@ func TestTrieSharedPanic(t *testing.T) {
 	defer func() { opt.InstCombine = saved }()
 	opt.InstCombine.Fn = func(*ir.Func, opt.Options) bool { panic("instcombine broke") }
 	cfgs := []*pipeline.Config{pipeline.New(pipeline.GCC, pipeline.O0), pipeline.New(pipeline.LLVM, pipeline.O0)}
-	tr, err := NewTrie(generated(t, 1), cfgs, false, false)
+	ins := generated(t, 1)
+	tr, err := NewTrie(ins, lowered(t, ins), cfgs, false, false)
 	if tr != nil || err == nil || !strings.Contains(err.Error(), "instcombine broke") {
 		t.Fatalf("NewTrie = %v, %v; want no trie and the panic as an error", tr, err)
 	}
@@ -236,7 +238,12 @@ func TestConcurrentTrie(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			tr, err := NewTrie(ins, cfgs, w%2 == 1, w%2 == 1)
+			lw, err := Lower(ins)
+			if err != nil {
+				errs[w] = err
+				return
+			}
+			tr, err := NewTrie(ins, lw, cfgs, w%2 == 1, w%2 == 1)
 			if err != nil {
 				errs[w] = err
 				return
@@ -270,6 +277,28 @@ func TestConcurrentTrie(t *testing.T) {
 	for w, err := range errs {
 		if err != nil {
 			t.Errorf("worker %d: %v", w, err)
+		}
+	}
+}
+
+// TestSharedLowering: the marker graph a seed derives from its one
+// lowering equals BuildMarkerCFG's, and deriving it leaves the module the
+// seed's trie starts from as it was.
+func TestSharedLowering(t *testing.T) {
+	for seed := int64(1); seed <= 200; seed++ {
+		ins := generated(t, seed)
+		lw := lowered(t, ins)
+		before := lw.Module().String()
+		got := MarkerCFGOf(lw.Module())
+		if after := lw.Module().String(); after != before {
+			t.Fatalf("seed %d: deriving the marker graph changed the module", seed)
+		}
+		want, err := BuildMarkerCFG(ins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("seed %d: marker graph of the shared lowering differs from BuildMarkerCFG's", seed)
 		}
 	}
 }

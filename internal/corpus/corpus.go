@@ -496,12 +496,15 @@ func remarkFields(seed int64, rs *RemarkSummary) map[string]any {
 }
 
 // buildProgram runs the program-construction half of a seed under the
-// harness: generation, instrumentation, ground truth, and the marker CFG.
-// Failures are infeasible-kind and abandon the seed; the failure event (and
-// the phase spans) are buffered into buf for sequenced emission.
-func buildProgram(o Options, h *harness.Harness, seed int64, buf *slotBuf, tid int) *ProgramResult {
+// harness: generation, instrumentation, ground truth, the seed's one
+// lowering, and the marker CFG derived from it. It returns the lowering for
+// the seed's trie to start from. Failures are infeasible-kind and abandon
+// the seed; the failure event (and the phase spans) are buffered into buf
+// for sequenced emission.
+func buildProgram(o Options, h *harness.Harness, seed int64, buf *slotBuf, tid int) (*ProgramResult, *core.Lowering) {
 	r := &ProgramResult{Seed: seed, PerCfg: map[ConfigKey]*core.Analysis{}}
 	rec := newRecorder(o.Metrics, buf, tid)
+	var lw *core.Lowering
 	if fail := h.Protect(seed, "", "", func(opt.Observer) error {
 		start := rec.now()
 		prog := cgen.Generate(o.GenConfig(seed))
@@ -521,17 +524,19 @@ func buildProgram(o Options, h *harness.Harness, seed int64, buf *slotBuf, tid i
 		if err != nil {
 			return fmt.Errorf("%w: %v", harness.ErrInfeasible, err)
 		}
-		r.Graph, err = core.BuildMarkerCFG(ins)
+		lw, err = core.Lower(ins)
 		if err != nil {
 			return fmt.Errorf("%w: %v", harness.ErrInfeasible, err)
 		}
+		r.Graph = core.MarkerCFGOf(lw.Module())
 		return nil
 	}); fail != nil {
 		r.Err = fmt.Errorf("seed %d: %s: %s", seed, fail.Kind, fail.Message)
 		r.Failures = append(r.Failures, *fail)
 		buf.emit("failure", failureFields(fail))
+		return r, nil
 	}
-	return r
+	return r, lw
 }
 
 // failureFields renders a failure's identity for the event log.

@@ -88,9 +88,10 @@ func (j *seedJob) prepare(w int) (int, error) {
 		}
 	}
 	j.start = time.Now()
-	j.r = buildProgram(*j.o, j.h, j.seed, buf, w+1)
+	var lw *core.Lowering
+	j.r, lw = buildProgram(*j.o, j.h, j.seed, buf, w+1)
 	if j.r.Err == nil {
-		j.share()
+		j.share(lw)
 	}
 	if buf.timed() {
 		buf.span("prepare", span.CatSeed, w+1, j.start,
@@ -108,14 +109,14 @@ func (j *seedJob) prepare(w int) (int, error) {
 	return len(j.cfgs), nil
 }
 
-// share compiles the seed's configurations as a trie (core.Trie), so that
-// each unit continues from the work it shares with the others. A unit with
-// a fault armed for the seed takes no part. The trie is built outside the
-// program build's Protect, so a compile failure is never an infeasible
-// program; if shared work fails, the seed drops the trie and every unit
-// compiles alone, so a failure's kind, message and signature never depend
-// on sharing.
-func (j *seedJob) share() {
+// share compiles the seed's configurations as a trie (core.Trie) that
+// starts from lw, the program's lowering, so that each unit continues from
+// the work it shares with the others. A unit with a fault armed for the
+// seed takes no part. The trie is built outside the program build's
+// Protect, so a compile failure is never an infeasible program; if shared
+// work fails, the seed drops the trie and every unit compiles alone, so a
+// failure's kind, message and signature never depend on sharing.
+func (j *seedJob) share(lw *core.Lowering) {
 	cfgs := make([]*pipeline.Config, len(j.cfgs))
 	n := 0
 	for u, key := range j.cfgs {
@@ -127,7 +128,7 @@ func (j *seedJob) share() {
 	if n < 2 {
 		return
 	}
-	if t, err := core.NewTrie(j.r.Ins, cfgs, j.o.Trace, j.o.Remarks); err == nil {
+	if t, err := core.NewTrie(j.r.Ins, lw, cfgs, j.o.Trace, j.o.Remarks); err == nil {
 		j.paused = t.Paused
 	}
 }

@@ -74,11 +74,12 @@ func pausedUnits(t *testing.T, o Options, seed int64) []*core.Paused {
 	o.fill()
 	h := &harness.Harness{StepBudget: o.StepBudget, Faults: o.Faults}
 	j := &seedJob{o: &o, h: h, seed: seed, cfgs: o.configKeys()}
-	j.r = buildProgram(o, h, seed, &slotBuf{o: &o}, 1)
+	var lw *core.Lowering
+	j.r, lw = buildProgram(o, h, seed, &slotBuf{o: &o}, 1)
 	if j.r.Err != nil {
 		t.Fatal(j.r.Err)
 	}
-	j.share()
+	j.share(lw)
 	return j.paused
 }
 
