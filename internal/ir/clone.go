@@ -165,13 +165,20 @@ func (c *bodyCloner) instr(in *Instr) *Instr {
 	return c.instrs[in.ID].new
 }
 
-// resize returns s cleared and with length n, reusing its array when it
-// is large enough.
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough. s must be zero beyond its length,
+// and stays so: resize clears only the length s had. A new array gets a
+// quarter more room, since a function grows while its module compiles.
 func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]T, n)
+		return make([]T, n, n+n/4)
 	}
-	s = s[:n]
 	clear(s)
-	return s
+	return s[:n]
+}
+
+// truncate returns s[:0], clearing the elements it drops.
+func truncate[T any](s []T) []T {
+	clear(s)
+	return s[:0]
 }

@@ -175,7 +175,7 @@ func TestNaturalLoops(t *testing.T) {
 	if l.Header != f.Blocks[1] {
 		t.Errorf("header b%d, want b1", l.Header.ID)
 	}
-	if !l.Blocks[f.Blocks[2]] || l.Blocks[f.Blocks[3]] {
+	if !l.Contains(f.Blocks[2]) || l.Contains(f.Blocks[3]) {
 		t.Errorf("loop body wrong: %v", l.Blocks)
 	}
 	if len(l.Latches) != 1 || l.Latches[0] != f.Blocks[2] {

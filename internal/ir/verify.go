@@ -3,6 +3,7 @@ package ir
 import (
 	"errors"
 	"fmt"
+	"sync"
 )
 
 // Verify checks structural SSA invariants of every function in the module:
@@ -29,7 +30,25 @@ func Verify(m *Module) error {
 // VerifyFunc checks one function.
 func VerifyFunc(f *Func) error { return verifyFunc(f) }
 
+// verifier holds verifyFunc's tables. A pipeline verifies every function
+// of each unit it compiles, so the tables are recycled through
+// verifierPool; each is zero beyond its length, and a verifier holds no
+// block or value once it is back in the pool.
+type verifier struct {
+	blockAt []*Block   // by Block.ID
+	defs    []valueDef // by Instr.ID
+	dt      DomTree
+}
+
+var verifierPool = sync.Pool{New: func() any { return new(verifier) }}
+
 func verifyFunc(f *Func) error {
+	v := verifierPool.Get().(*verifier)
+	defer func() {
+		v.blockAt, v.defs = truncate(v.blockAt), truncate(v.defs)
+		v.dt.Reset()
+		verifierPool.Put(v)
+	}()
 	var errs []error
 	bail := func(format string, args ...any) {
 		errs = append(errs, fmt.Errorf(format, args...))
@@ -45,7 +64,8 @@ func verifyFunc(f *Func) error {
 	for _, b := range f.Blocks {
 		nb = max(nb, b.ID+1)
 	}
-	blockAt := make([]*Block, nb)
+	v.blockAt = resize(v.blockAt, nb)
+	blockAt := v.blockAt
 	for _, b := range f.Blocks {
 		blockAt[b.ID] = b
 	}
@@ -150,9 +170,10 @@ func verifyFunc(f *Func) error {
 	// table records only each value's position, keyed by Instr.ID and
 	// holding the value itself: a value no block lists, even one whose ID
 	// collides with a listed value's, is not in the function.
-	dt := Dominators(f)
-	reach := f.Reachable()
-	defs := make([]valueDef, nv)
+	dt := &v.dt
+	dt.Rebuild(f)
+	v.defs = resize(v.defs, nv)
+	defs := v.defs
 	for _, b := range f.Blocks {
 		for i, in := range b.Instrs {
 			defs[in.ID] = valueDef{in, int32(i)}
@@ -165,14 +186,14 @@ func verifyFunc(f *Func) error {
 		return valueDef{}, false
 	}
 	for _, b := range f.Blocks {
-		if !reach[b.ID] {
+		if !dt.Reachable(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
 			if in.Op == OpPhi {
 				for i, a := range in.Args {
 					pb := in.PhiPreds[i]
-					if !reach[pb.ID] {
+					if !dt.Reachable(pb) {
 						continue
 					}
 					if _, ok := def(a); !ok {

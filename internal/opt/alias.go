@@ -47,7 +47,15 @@ type AliasCtx struct {
 // ComputeEscapes must have run on the module for global exposure to be
 // accurate.
 func NewAliasCtx(f *ir.Func, level AliasLevel) *AliasCtx {
-	return &AliasCtx{Level: level, exposed: exposedValues(f)}
+	c := new(AliasCtx)
+	c.reset(f, level)
+	return c
+}
+
+// reset makes c the context for f, reusing its table. Pooled pass states
+// hold an AliasCtx; its table holds no pointers (scratch.go).
+func (c *AliasCtx) reset(f *ir.Func, level AliasLevel) {
+	c.Level, c.exposed = level, exposedValues(f, c.exposed)
 }
 
 // isExposed reports whether a (an alloca) was address-exposed when the

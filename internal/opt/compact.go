@@ -80,9 +80,11 @@ func compactFunc(f *ir.Func, o Options) bool {
 			changed = true
 		}
 	}
-	if removeUnreachable(f) {
+	c := getCFG()
+	if removeUnreachable(f, c) {
 		changed = true
 	}
+	putCFG(c)
 	if changed {
 		// One count per changed visit, not per fold.
 		o.applied()

@@ -1,6 +1,8 @@
 package opt
 
 import (
+	"sync"
+
 	"dcelens/internal/ir"
 )
 
@@ -43,7 +45,22 @@ func ComputeEscapes(m *ir.Module) bool {
 	return false
 }
 
+// escapeTables holds computeEscapes' per-value sets, reused across the
+// functions and fixpoint rounds of a computation and, through escapePool,
+// across computations. They hold no pointers (scratch.go).
+type escapeTables struct {
+	esc, exp []bool // by Instr.ID
+}
+
+var escapePool = sync.Pool{New: func() any { return new(escapeTables) }}
+
 func computeEscapes(m *ir.Module) {
+	t := escapePool.Get().(*escapeTables)
+	t.compute(m)
+	escapePool.Put(t)
+}
+
+func (t *escapeTables) compute(m *ir.Module) {
 	// Step 1: per-function parameter escape summaries, to a fixpoint: does
 	// the value passed for parameter i escape to external code (stored to
 	// memory, passed to an external call, returned, or passed to an
@@ -60,10 +77,10 @@ func computeEscapes(m *ir.Module) {
 			if f.External {
 				continue
 			}
-			esc := escapingValues(f, summaries)
+			t.esc = escapingValues(f, summaries, t.esc)
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					if in.Op == ir.OpParam && esc[in.ID] && !summaries[f][in.ParamIdx] {
+					if in.Op == ir.OpParam && t.esc[in.ID] && !summaries[f][in.ParamIdx] {
 						summaries[f][in.ParamIdx] = true
 						changed = true
 					}
@@ -96,17 +113,17 @@ func computeEscapes(m *ir.Module) {
 		if f.External {
 			continue
 		}
-		esc := escapingValues(f, summaries)
-		exposed := exposedValues(f)
+		t.esc = escapingValues(f, summaries, t.esc)
+		t.exp = exposedValues(f, t.exp)
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				if in.Op != ir.OpGlobalAddr {
 					continue
 				}
-				if esc[in.ID] {
+				if t.esc[in.ID] {
 					in.Global.Escapes = true
 				}
-				if exposed[in.ID] {
+				if t.exp[in.ID] {
 					in.Global.AddrExposed = true
 				}
 			}
@@ -121,35 +138,17 @@ func computeEscapes(m *ir.Module) {
 }
 
 // escapingValues computes the set of SSA values in f whose pointee may be
-// accessed by external code, dense by instruction ID.
-func escapingValues(f *ir.Func, summaries map[*ir.Func][]bool) []bool {
-	esc := make([]bool, f.NumValues())
-	var mark func(v *ir.Instr)
-	mark = func(v *ir.Instr) {
-		if esc[v.ID] {
-			return
-		}
-		esc[v.ID] = true
-		// Derived pointers escape with their source: if v escapes and v is
-		// a GEP/cast/phi/select, its inputs escape too.
-		switch v.Op {
-		case ir.OpGEP:
-			mark(v.Args[0])
-		case ir.OpPhi, ir.OpSelect:
-			for _, a := range v.Args {
-				if a.Typ != nil && a.Typ.IsPointer() {
-					mark(a)
-				}
-			}
-		}
-	}
+// accessed by external code, dense by instruction ID, over esc's array
+// when it is large enough.
+func escapingValues(f *ir.Func, summaries map[*ir.Func][]bool, esc []bool) []bool {
+	esc = resize(esc, f.NumValues())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			switch in.Op {
 			case ir.OpStore:
 				// Storing a pointer publishes it.
 				if in.Args[1].Typ != nil && in.Args[1].Typ.IsPointer() {
-					mark(in.Args[1])
+					markPointer(esc, in.Args[1])
 				}
 			case ir.OpCall:
 				for i, a := range in.Args {
@@ -157,14 +156,14 @@ func escapingValues(f *ir.Func, summaries map[*ir.Func][]bool) []bool {
 						continue
 					}
 					if in.Callee.External {
-						mark(a)
+						markPointer(esc, a)
 					} else if s := summaries[in.Callee]; s != nil && i < len(s) && s[i] {
-						mark(a)
+						markPointer(esc, a)
 					}
 				}
 			case ir.OpRet:
 				if len(in.Args) > 0 && in.Args[0].Typ != nil && in.Args[0].Typ.IsPointer() {
-					mark(in.Args[0])
+					markPointer(esc, in.Args[0])
 				}
 			}
 		}
@@ -172,28 +171,32 @@ func escapingValues(f *ir.Func, summaries map[*ir.Func][]bool) []bool {
 	return esc
 }
 
-// exposedValues computes values whose address identity leaks beyond direct
-// memory accesses and comparisons, dense by instruction ID: such objects can
-// be pointed at by pointers of unknown provenance.
-func exposedValues(f *ir.Func) []bool {
-	exp := make([]bool, f.NumValues())
-	var mark func(v *ir.Instr)
-	mark = func(v *ir.Instr) {
-		if exp[v.ID] {
-			return
-		}
-		exp[v.ID] = true
-		switch v.Op {
-		case ir.OpGEP:
-			mark(v.Args[0])
-		case ir.OpPhi, ir.OpSelect:
-			for _, a := range v.Args {
-				if a.Typ != nil && a.Typ.IsPointer() {
-					mark(a)
-				}
+// markPointer adds v to set, with the pointers v derives from: if v
+// escapes (or is exposed) and is a GEP, phi or select, so are its pointer
+// inputs.
+func markPointer(set []bool, v *ir.Instr) {
+	if set[v.ID] {
+		return
+	}
+	set[v.ID] = true
+	switch v.Op {
+	case ir.OpGEP:
+		markPointer(set, v.Args[0])
+	case ir.OpPhi, ir.OpSelect:
+		for _, a := range v.Args {
+			if a.Typ != nil && a.Typ.IsPointer() {
+				markPointer(set, a)
 			}
 		}
 	}
+}
+
+// exposedValues computes values whose address identity leaks beyond direct
+// memory accesses and comparisons, dense by instruction ID, over exp's
+// array when it is large enough: such objects can be pointed at by
+// pointers of unknown provenance.
+func exposedValues(f *ir.Func, exp []bool) []bool {
+	exp = resize(exp, f.NumValues())
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			for i, a := range in.Args {
@@ -205,7 +208,7 @@ func exposedValues(f *ir.Func) []bool {
 					// direct load address: not exposing
 				case ir.OpStore:
 					if i == 1 {
-						mark(a) // stored pointer value: exposed
+						markPointer(exp, a) // stored pointer value: exposed
 					}
 				case ir.OpBin:
 					// comparisons don't expose
@@ -213,7 +216,7 @@ func exposedValues(f *ir.Func) []bool {
 					// exposure decided by the GEP's own uses
 				default:
 					// calls, rets, phis, selects expose the pointer
-					mark(a)
+					markPointer(exp, a)
 				}
 			}
 		}

@@ -41,7 +41,10 @@ func gvnForward(m *ir.Module, o Options, inv *Invalidation) bool {
 // would miss.
 func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
 	changed := false
+	c := getCFG()
+	defer putCFG(c)
 	ai := buildAccessIndex(m)
+	defer ai.release()
 	for _, g := range m.Globals {
 		if g.Escapes || g.AddrExposed || g.Len != 1 {
 			continue
@@ -75,7 +78,7 @@ func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
 			}
 			continue
 		}
-		dt := ir.Dominators(f)
+		dt := c.dominators(f)
 		pos := map[*ir.Instr]int{}
 		for i, in := range s.Block.Instrs {
 			pos[in] = i
@@ -129,9 +132,10 @@ var gvnPool = sync.Pool{New: func() any {
 }}
 
 func gvnFunc(f *ir.Func, o Options) bool {
-	dt := ir.Dominators(f)
 	g := gvnPool.Get().(*gvnState)
-	g.o, g.ac = o, NewAliasCtx(f, o.Alias)
+	dt := g.cfg.dominators(f)
+	g.o = o
+	g.ac.reset(f, o.Alias)
 	changed := g.walk(f.Entry(), dt)
 	// One sweep repairs every remaining stale operand (phis visited before
 	// the value they reference was replaced).
@@ -143,18 +147,19 @@ func gvnFunc(f *ir.Func, o Options) bool {
 // release clears the state under the pooled-scratch rule (scratch.go) and
 // returns it to its pool. The walk leaves scope empty.
 func (g *gvnState) release() {
-	g.o, g.ac = Options{}, nil
+	g.o = Options{}
 	clear(g.table)
 	clear(g.typeIDs)
 	clear(g.typeStr)
 	g.avail = shrink(g.avail, 0)
 	g.reloc.Reset()
+	g.cfg.reset()
 	gvnPool.Put(g)
 }
 
 type gvnState struct {
 	o     Options
-	ac    *AliasCtx
+	ac    AliasCtx
 	table map[gvnKey]*ir.Instr
 	// scope is the undo stack of the table's dominator scopes: the keys
 	// each block on the walk's current path added, in order. A block pops
@@ -163,6 +168,7 @@ type gvnState struct {
 	// avail is the block-local forwarding state, reused block to block.
 	avail []memEntry
 	reloc ir.Relocator
+	cfg   cfgScratch
 	// Type interning: structurally identical types can be distinct
 	// pointers, so key equality goes through a string-deduplicated id —
 	// computed once per distinct pointer, not once per instruction.

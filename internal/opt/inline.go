@@ -20,6 +20,8 @@ func inline(m *ir.Module, o Options, inv *Invalidation) bool {
 		return false
 	}
 	recursive := recursiveFuncs(m)
+	cm := getCloneMap()
+	defer putCloneMap(cm)
 	changed := false
 	for _, caller := range m.Funcs {
 		if caller.External {
@@ -40,7 +42,7 @@ func inline(m *ir.Module, o Options, inv *Invalidation) bool {
 				break
 			}
 			call.Callee.WasInlined = true
-			inlineCall(caller, call)
+			inlineCall(caller, call, cm)
 			grown += funcSize(call.Callee)
 			changed = true
 			o.applied()
@@ -130,8 +132,9 @@ func findInlinableCall(caller *ir.Func, o Options, recursive map[*ir.Func]bool) 
 	return nil
 }
 
-// inlineCall splices callee's body into caller at the call site.
-func inlineCall(caller *ir.Func, call *ir.Instr) {
+// inlineCall splices callee's body into caller at the call site, mapping
+// the callee's blocks and values to their copies in cm.
+func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 	callee := call.Callee
 	b := call.Block
 
@@ -172,11 +175,10 @@ func inlineCall(caller *ir.Func, call *ir.Instr) {
 	}
 
 	// 2. Clone callee blocks.
-	blockMap := map[*ir.Block]*ir.Block{}
+	cm.reset(callee.NumBlocks(), callee.NumValues())
 	for _, cb := range callee.Blocks {
-		blockMap[cb] = caller.NewBlock()
+		cm.setBlock(cb, caller.NewBlock())
 	}
-	valMap := map[*ir.Instr]*ir.Instr{}
 	type retEdge struct {
 		val   *ir.Instr // mapped return value (nil for void)
 		block *ir.Block
@@ -184,18 +186,22 @@ func inlineCall(caller *ir.Func, call *ir.Instr) {
 	var rets []retEdge
 
 	mapVal := func(v *ir.Instr) *ir.Instr {
-		if nv, ok := valMap[v]; ok {
+		if nv, ok := cm.val(v); ok {
 			return nv
 		}
 		return v // values defined in caller (call args) are used directly
 	}
+	mapBlock := func(b *ir.Block) *ir.Block {
+		nb, _ := cm.block(b)
+		return nb
+	}
 
 	for _, cb := range callee.Blocks {
-		nb := blockMap[cb]
+		nb := mapBlock(cb)
 		for _, in := range cb.Instrs {
 			switch in.Op {
 			case ir.OpParam:
-				valMap[in] = call.Args[in.ParamIdx]
+				cm.setVal(in, call.Args[in.ParamIdx])
 				continue
 			case ir.OpRet:
 				var rv *ir.Instr
@@ -220,12 +226,12 @@ func inlineCall(caller *ir.Func, call *ir.Instr) {
 				ni.Args = append(ni.Args, mapVal(a))
 			}
 			for _, t := range in.Targets {
-				ni.Targets = append(ni.Targets, blockMap[t])
+				ni.Targets = append(ni.Targets, mapBlock(t))
 			}
 			for _, pp := range in.PhiPreds {
-				ni.PhiPreds = append(ni.PhiPreds, blockMap[pp])
+				ni.PhiPreds = append(ni.PhiPreds, mapBlock(pp))
 			}
-			valMap[in] = ni
+			cm.setVal(in, ni)
 			nb.Instrs = append(nb.Instrs, ni)
 		}
 	}
@@ -236,26 +242,21 @@ func inlineCall(caller *ir.Func, call *ir.Instr) {
 	// stale references now — including the captured return values, which
 	// flow into the caller's continuation.
 	for _, cb := range callee.Blocks {
-		nb := blockMap[cb]
-		for _, in := range nb.Instrs {
+		for _, in := range mapBlock(cb).Instrs {
 			for i, a := range in.Args {
-				if nv, ok := valMap[a]; ok {
-					in.Args[i] = nv
-				}
+				in.Args[i] = mapVal(a)
 			}
 		}
 	}
 	for i := range rets {
 		if rets[i].val != nil {
-			if nv, ok := valMap[rets[i].val]; ok {
-				rets[i].val = nv
-			}
+			rets[i].val = mapVal(rets[i].val)
 		}
 	}
 
 	// 3. b jumps into the cloned entry.
 	br := b.NewInstr(ir.OpBr, nil)
-	br.Targets = []*ir.Block{blockMap[callee.Entry()]}
+	br.Targets = []*ir.Block{mapBlock(callee.Entry())}
 	b.Instrs = append(b.Instrs, br)
 
 	// 4. The call's result value.

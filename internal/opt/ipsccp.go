@@ -2,6 +2,7 @@ package opt
 
 import (
 	"fmt"
+	"sync"
 
 	"dcelens/internal/ir"
 	"dcelens/internal/types"
@@ -43,6 +44,7 @@ func ipsccp(m *ir.Module, o Options, inv *Invalidation) bool {
 		inv.Facts()
 	}
 	ai := buildAccessIndex(m)
+	defer ai.release()
 	changed := false
 	for _, g := range m.Globals {
 		if g.Escapes || g.AddrExposed {
@@ -78,8 +80,23 @@ func ipsccp(m *ir.Module, o Options, inv *Invalidation) bool {
 // brand-new accesses of the *target* global); all other propagations only
 // delete accesses of the already-queried global and replace values with
 // non-address constants, which cannot grow any other global's access set.
+//
+// Indexes are recycled through accessPool under the pooled-scratch rule
+// (scratch.go): the per-value table serves every function of every
+// build, and the map keeps its buckets.
 type accessIndex struct {
 	info map[*ir.Global]*globalAccessInfo
+	// bases describes the values of the function being indexed, by
+	// Instr.ID; it is empty between builds.
+	bases []valueBase
+}
+
+// valueBase is what the index knows of one value while it indexes the
+// value's function.
+type valueBase struct {
+	g     *ir.Global // chain base: the global this value addresses
+	chain bool       // the value is a GEP link, not the raw address
+	state uint8      // GEP memo: 0 unresolved, 1 visiting, 2 done
 }
 
 type globalAccessInfo struct {
@@ -90,59 +107,50 @@ type globalAccessInfo struct {
 	badGEP              bool        // disallowed use within a GEP chain
 }
 
+var accessPool = sync.Pool{New: func() any {
+	return &accessIndex{info: map[*ir.Global]*globalAccessInfo{}}
+}}
+
+// buildAccessIndex indexes m's global accesses; the caller releases the
+// index once it is done with it and with the access lists it returned.
 func buildAccessIndex(m *ir.Module) *accessIndex {
-	ai := &accessIndex{info: make(map[*ir.Global]*globalAccessInfo, len(m.Globals))}
-	get := func(g *ir.Global) *globalAccessInfo {
-		gi := ai.info[g]
-		if gi == nil {
-			gi = &globalAccessInfo{}
-			ai.info[g] = gi
-		}
-		return gi
-	}
+	ai := accessPool.Get().(*accessIndex)
+	ai.rebuild(m)
+	return ai
+}
+
+// release returns the index to its pool.
+func (ai *accessIndex) release() {
+	clear(ai.info)
+	accessPool.Put(ai)
+}
+
+// rebuild indexes m afresh, reusing ai's tables.
+func (ai *accessIndex) rebuild(m *ir.Module) {
+	clear(ai.info)
 	for _, f := range m.Funcs {
-		n := f.NumValues()
-		base := make([]*ir.Global, n) // chain base: the global this value addresses
-		chain := make([]bool, n)      // value is a GEP link, not the raw address
-		state := make([]uint8, n)     // GEP memo: 0 unresolved, 1 visiting, 2 done
-		var resolve func(in *ir.Instr) *ir.Global
-		resolve = func(in *ir.Instr) *ir.Global {
-			switch in.Op {
-			case ir.OpGlobalAddr:
-				return in.Global
-			case ir.OpGEP:
-				switch state[in.ID] {
-				case 0:
-					state[in.ID] = 1
-					base[in.ID] = resolve(in.Args[0])
-					state[in.ID] = 2
-				case 1:
-					return nil // defensive: SSA defs cannot cycle
-				}
-				return base[in.ID]
-			}
-			return nil
-		}
+		ai.bases = resize(ai.bases, f.NumValues())
+		bases := ai.bases
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
 				case ir.OpGlobalAddr:
-					base[in.ID] = in.Global
+					bases[in.ID].g = in.Global
 				case ir.OpGEP:
-					resolve(in)
-					chain[in.ID] = true
+					resolveBase(bases, in)
+					bases[in.ID].chain = true
 				}
 			}
 		}
 		for _, b := range f.Blocks {
 			for _, u := range b.Instrs {
 				for i, a := range u.Args {
-					g := base[a.ID]
-					if g == nil {
+					vb := bases[a.ID]
+					if vb.g == nil {
 						continue
 					}
-					gi := get(g)
-					if !chain[a.ID] {
+					gi := ai.of(vb.g)
+					if !vb.chain {
 						switch {
 						case u.Op == ir.OpLoad:
 							gi.loads = append(gi.loads, u)
@@ -174,10 +182,39 @@ func buildAccessIndex(m *ir.Module) *accessIndex {
 			}
 		}
 	}
-	return ai
+	ai.bases = shrink(ai.bases, 0)
 }
 
-func (ai *accessIndex) rebuild(m *ir.Module) { *ai = *buildAccessIndex(m) }
+// of returns g's entry, creating it.
+func (ai *accessIndex) of(g *ir.Global) *globalAccessInfo {
+	gi := ai.info[g]
+	if gi == nil {
+		gi = &globalAccessInfo{}
+		ai.info[g] = gi
+	}
+	return gi
+}
+
+// resolveBase returns the global the GEP chain ending in in addresses,
+// memoized in bases.
+func resolveBase(bases []valueBase, in *ir.Instr) *ir.Global {
+	switch in.Op {
+	case ir.OpGlobalAddr:
+		return in.Global
+	case ir.OpGEP:
+		vb := &bases[in.ID]
+		switch vb.state {
+		case 0:
+			vb.state = 1
+			vb.g = resolveBase(bases, in.Args[0])
+			vb.state = 2
+		case 1:
+			return nil // defensive: SSA defs cannot cycle
+		}
+		return vb.g
+	}
+	return nil
+}
 
 // accesses collects all direct loads and stores of g. ok is false if g's
 // address is used in any other way (e.g. behind non-constant GEPs for

@@ -18,17 +18,16 @@ import (
 var JumpThread = Pass{Name: "jumpthread", Fn: jumpThreadFunc}
 
 func jumpThreadFunc(f *ir.Func, o Options) bool {
+	c := getCFG()
 	changed := false
-	for {
-		if !jumpThreadOnce(f) {
-			break
-		}
+	for jumpThreadOnce(f, c) {
 		changed = true
 	}
+	putCFG(c)
 	return changed
 }
 
-func jumpThreadOnce(f *ir.Func) bool {
+func jumpThreadOnce(f *ir.Func, c *cfgScratch) bool {
 	var dt *ir.DomTree // computed lazily; valid until the first rewrite
 	for _, b := range f.Blocks {
 		if b == f.Entry() || len(b.Preds) < 2 {
@@ -65,7 +64,7 @@ func jumpThreadOnce(f *ir.Func) bool {
 			// pred b must dominate the new pred p (being defined outside b
 			// is necessary but not sufficient).
 			if dt == nil {
-				dt = ir.Dominators(f)
+				dt = c.dominators(f)
 			}
 			if !phisSafeToRetarget(b, target, p, dt) {
 				continue

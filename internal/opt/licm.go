@@ -17,26 +17,33 @@ var LICM = Pass{Name: "licm", Pre: ComputeEscapesOpt, Fn: licmFunc, Reads: func(
 }}
 
 func licmFunc(f *ir.Func, o Options) bool {
+	st := licmPool.Get().(*licmState)
 	changed := false
-	if removeUnreachable(f) { // preheader creation assumes reachable preds
+	if removeUnreachable(f, &st.cfg) { // preheader creation assumes reachable preds
 		f.MarkMutated() // unreported mutation; dirty tracking must see it
 	}
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
-	ac := NewAliasCtx(f, o.Alias)
-	defined := licmPool.Get().(*[]bool)
+	loops := st.cfg.loops(f)
+	st.ac.reset(f, o.Alias)
 	for _, l := range loops {
-		if licmLoop(f, l, ac, o, defined) {
+		if licmLoop(f, l, &st.ac, o, &st.defined) {
 			changed = true
 		}
 	}
-	licmPool.Put(defined)
+	st.cfg.reset()
+	licmPool.Put(st)
 	return changed
 }
 
-// licmPool recycles licmLoop's definedInLoop table (see scratch.go; it
-// holds no pointers, so it needs no clearing on return).
-var licmPool = sync.Pool{New: func() any { return new([]bool) }}
+// licmState is licm's pooled scratch (see scratch.go): the CFG analyses,
+// the alias context and licmLoop's definedInLoop table, which hold no
+// pointers once the analyses are reset.
+type licmState struct {
+	cfg     cfgScratch
+	ac      AliasCtx
+	defined []bool
+}
+
+var licmPool = sync.Pool{New: func() any { return new(licmState) }}
 
 // loadSubject names the location a load reads, for remarks.
 func loadSubject(in *ir.Instr) string {
@@ -57,7 +64,7 @@ func loadSubject(in *ir.Instr) string {
 func preheader(f *ir.Func, l *ir.Loop) *ir.Block {
 	var outside []*ir.Block
 	for _, p := range l.Header.Preds {
-		if !l.Blocks[p] {
+		if !l.Contains(p) {
 			outside = append(outside, p)
 		}
 	}
@@ -88,7 +95,7 @@ func preheader(f *ir.Func, l *ir.Loop) *ir.Block {
 		var keptVals []*ir.Instr
 		var keptPreds []*ir.Block
 		for i, pb := range in.PhiPreds {
-			if l.Blocks[pb] {
+			if l.Contains(pb) {
 				keptVals = append(keptVals, in.Args[i])
 				keptPreds = append(keptPreds, pb)
 			} else {
@@ -143,7 +150,7 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, defined *[]bool) 
 	var loopStores []Loc
 	hasInternalCall, hasExternalCall := false, false
 	for _, b := range f.Blocks {
-		if !l.Blocks[b] {
+		if !l.Contains(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
@@ -165,7 +172,7 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, defined *[]bool) 
 	*defined = resize(*defined, f.NumValues())
 	definedInLoop := *defined
 	for _, b := range f.Blocks {
-		if !l.Blocks[b] {
+		if !l.Contains(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
@@ -220,7 +227,7 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, defined *[]bool) 
 	for {
 		moved := false
 		for _, b := range f.Blocks {
-			if !l.Blocks[b] {
+			if !l.Contains(b) {
 				continue
 			}
 			scratch = append(scratch[:0], b.Instrs...)

@@ -26,7 +26,7 @@ int main(void) {
 		t.Fatal("loop disappeared?")
 	}
 	for _, b := range main.Blocks {
-		inLoop := loops[0].Blocks[b]
+		inLoop := loops[0].Contains(b)
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpLoad {
 				loc := ResolveLoc(in.Args[0])

@@ -37,19 +37,20 @@ func mem2regFunc(f *ir.Func, o Options) bool {
 		return false
 	}
 
-	dt := ir.Dominators(f)
+	c := getCFG()
+	dt := c.dominators(f)
 	df := dt.Frontiers()
-	reach := f.Reachable()
 
 	// All promotions share one relocation batch: dropped loads resolve
 	// through it on read, and a single Apply sweep rewrites the survivors.
 	reloc := getRelocator()
 	for _, a := range cands {
-		promote(f, a, dt, df, reach, reloc)
+		promote(f, a, dt, df, reloc)
 		o.applied()
 	}
 	reloc.Apply(f)
 	putRelocator(reloc)
+	putCFG(c)
 	return true
 }
 
@@ -79,7 +80,7 @@ func promotable(f *ir.Func, a *ir.Instr) bool {
 
 // promote rewrites all loads/stores of alloca a into SSA values. Load
 // replacements are batched into reloc; the caller applies them once.
-func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reach []bool, reloc *ir.Relocator) {
+func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reloc *ir.Relocator) {
 	elem := a.Typ.Elem
 	nb := f.NumBlocks()
 
@@ -103,7 +104,7 @@ func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reach []
 		b := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, fb := range df[b.ID] {
-			if !reach[fb.ID] {
+			if !dt.Reachable(fb) {
 				continue
 			}
 			if phiAt[fb.ID] != nil {
@@ -183,7 +184,7 @@ func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reach []
 	// Unreachable blocks may still reference the alloca; replace those
 	// accesses with the zero value so the alloca can be deleted.
 	for _, b := range f.Blocks {
-		if reach[b.ID] {
+		if dt.Reachable(b) {
 			continue
 		}
 		keep := b.Instrs[:0]

@@ -8,10 +8,11 @@ import (
 
 // Pooled pass scratch. The hot function passes (sccp, dce, gvn, vrp,
 // licm) run once per function per pass instance, many times per compile
-// unit, and each needs dense-ID tables as large as the function. Each
+// unit, and each needs dense-ID tables as large as the function, as do
+// the analyses they call (dominator tree, loops, reachability). Each
 // keeps its tables in one state value recycled through its own sync.Pool,
-// and the passes with no other pooled state share a pool of Relocators,
-// all under one rule: a pooled table is zero beyond its length at all
+// and the passes with no other pooled state share a pool of Relocators
+// and one of CFG analyses (cfgScratch), all under one rule: a pooled table is zero beyond its length at all
 // times. So resize clears only the length the last user left, a worklist
 // zeroes each slot it pops, a table that shrinks while held zeroes the
 // slots it drops, and before a state returns to its pool every table that
@@ -50,6 +51,95 @@ func pop[T any](s *[]T) T {
 	(*s)[n] = zero
 	*s = (*s)[:n]
 	return v
+}
+
+// cfgScratch is the CFG analyses a pass rebuilds in place for each
+// function it visits: a dominator tree, a loop finder and a reachability
+// table. gvn, licm and vrp hold one in their pooled states; the other
+// passes that need them share cfgPool.
+type cfgScratch struct {
+	dt    ir.DomTree
+	lf    ir.LoopFinder
+	reach []bool // by Block.ID; holds no pointers
+}
+
+// dominators rebuilds the dominator tree for f.
+func (c *cfgScratch) dominators(f *ir.Func) *ir.DomTree {
+	c.dt.Rebuild(f)
+	return &c.dt
+}
+
+// loops rebuilds the dominator tree for f and finds f's natural loops,
+// valid until the scratch serves another function.
+func (c *cfgScratch) loops(f *ir.Func) []*ir.Loop {
+	return c.lf.Find(f, c.dominators(f))
+}
+
+// reset drops the analyses' references to the function they served.
+func (c *cfgScratch) reset() {
+	c.dt.Reset()
+	c.lf.Reset()
+}
+
+var cfgPool = sync.Pool{New: func() any { return new(cfgScratch) }}
+
+func getCFG() *cfgScratch { return cfgPool.Get().(*cfgScratch) }
+
+func putCFG(c *cfgScratch) {
+	c.reset()
+	cfgPool.Put(c)
+}
+
+// cloneMap maps the blocks and values of a region being copied (an
+// inlined callee, a loop) to their copies, in tables indexed by the
+// source object's ID. Each slot also holds its source, as ir.Relocator's
+// and ir.Module.Clone's do, so an object whose ID collides with a mapped
+// one's (a value of the caller, a block created since) is never taken for
+// it. Maps are recycled through clonePool.
+type cloneMap struct {
+	blocks []blockPair // by the source Block.ID
+	vals   []valuePair // by the source Instr.ID
+}
+
+type (
+	blockPair struct{ old, new *ir.Block }
+	valuePair struct{ old, new *ir.Instr }
+)
+
+// reset empties m for sources with block IDs below nb and value IDs below
+// nv.
+func (m *cloneMap) reset(nb, nv int) {
+	m.blocks = resize(m.blocks, nb)
+	m.vals = resize(m.vals, nv)
+}
+
+func (m *cloneMap) setBlock(old, new *ir.Block) { m.blocks[old.ID] = blockPair{old, new} }
+
+func (m *cloneMap) setVal(old, new *ir.Instr) { m.vals[old.ID] = valuePair{old, new} }
+
+// block returns b's copy, if b is mapped.
+func (m *cloneMap) block(b *ir.Block) (*ir.Block, bool) {
+	if b != nil && uint(b.ID) < uint(len(m.blocks)) && m.blocks[b.ID].old == b {
+		return m.blocks[b.ID].new, true
+	}
+	return nil, false
+}
+
+// val returns v's copy, if v is mapped.
+func (m *cloneMap) val(v *ir.Instr) (*ir.Instr, bool) {
+	if v != nil && uint(v.ID) < uint(len(m.vals)) && m.vals[v.ID].old == v {
+		return m.vals[v.ID].new, true
+	}
+	return nil, false
+}
+
+var clonePool = sync.Pool{New: func() any { return new(cloneMap) }}
+
+func getCloneMap() *cloneMap { return clonePool.Get().(*cloneMap) }
+
+func putCloneMap(m *cloneMap) {
+	m.blocks, m.vals = shrink(m.blocks, 0), shrink(m.vals, 0)
+	clonePool.Put(m)
 }
 
 // relocPool recycles the Relocators of passes that keep no other pooled

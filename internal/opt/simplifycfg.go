@@ -12,16 +12,18 @@ import (
 var SimplifyCFG = Pass{Name: "simplifycfg", Fn: simplifyCFGFunc}
 
 func simplifyCFGFunc(f *ir.Func, o Options) bool {
+	c := getCFG()
 	changed := false
-	for simplifyCFGOnce(f) {
+	for simplifyCFGOnce(f, c) {
 		changed = true
 	}
+	putCFG(c)
 	return changed
 }
 
-func simplifyCFGOnce(f *ir.Func) bool {
+func simplifyCFGOnce(f *ir.Func, c *cfgScratch) bool {
 	changed := false
-	if removeUnreachable(f) {
+	if removeUnreachable(f, c) {
 		changed = true
 	}
 	for _, b := range f.Blocks {
@@ -42,16 +44,18 @@ func simplifyCFGOnce(f *ir.Func) bool {
 	if mergeStraightLine(f) {
 		changed = true
 	}
-	if skipEmptyBlocks(f) {
+	if skipEmptyBlocks(f, c) {
 		changed = true
 	}
 	return changed
 }
 
 // removeUnreachable deletes blocks not reachable from entry, first severing
-// their edges into reachable blocks (fixing phis).
-func removeUnreachable(f *ir.Func) bool {
-	reach := f.Reachable()
+// their edges into reachable blocks (fixing phis). It computes
+// reachability in c's table.
+func removeUnreachable(f *ir.Func, c *cfgScratch) bool {
+	c.reach = f.ReachableInto(c.reach)
+	reach := c.reach
 	nReach := 0
 	for _, r := range reach {
 		if r {
@@ -252,7 +256,7 @@ func mergeStraightLine(f *ir.Func) bool {
 // unconditional branch. To keep phi semantics unambiguous, a forwarding
 // block is bypassed only when its target has no phis or the forwarding
 // block has a single predecessor.
-func skipEmptyBlocks(f *ir.Func) bool {
+func skipEmptyBlocks(f *ir.Func, c *cfgScratch) bool {
 	changed := false
 	for _, b := range f.Blocks {
 		if b == f.Entry() || len(b.Instrs) != 1 {
@@ -320,7 +324,7 @@ func skipEmptyBlocks(f *ir.Func) bool {
 		}
 	}
 	if changed {
-		removeUnreachable(f)
+		removeUnreachable(f, c)
 	}
 	return changed
 }

@@ -24,21 +24,21 @@ func unrollFunc(f *ir.Func, o Options) bool {
 	// sweep's result is not part of this pass's changed flag (simplifycfg
 	// owns that cleanup), but it is a body mutation the dirty tracking
 	// must see.
-	if removeUnreachable(f) {
+	c := getCFG()
+	defer putCFG(c)
+	if removeUnreachable(f, c) {
 		f.MarkMutated()
 	}
 	// One unroll per invocation; the pipeline iterates.
-	return unrollOne(f, o)
+	return unrollOne(f, o, c)
 }
 
 // unrollBodyLimit caps total code growth per unrolled loop.
 const unrollBodyLimit = 600
 
-func unrollOne(f *ir.Func, o Options) bool {
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
-	for _, l := range loops {
-		if tryUnroll(f, l, o) {
+func unrollOne(f *ir.Func, o Options, c *cfgScratch) bool {
+	for _, l := range c.loops(f) {
+		if tryUnroll(f, l, o, c) {
 			return true
 		}
 	}
@@ -73,7 +73,7 @@ func matchCountedLoop(l *ir.Loop) (counterShape, bool) {
 		return cs, false
 	}
 	// The true edge must stay in the loop and the false edge must exit.
-	if l.Blocks[t.Targets[1]] || !l.Blocks[t.Targets[0]] {
+	if l.Contains(t.Targets[1]) || !l.Contains(t.Targets[0]) {
 		return cs, false
 	}
 	phi := cmp.Args[0]
@@ -83,10 +83,10 @@ func matchCountedLoop(l *ir.Loop) (counterShape, bool) {
 	for i := 0; i < 2; i++ {
 		a, b := phi.Args[i], phi.Args[1-i]
 		c0, ok0 := isConst(a)
-		if !ok0 || l.Blocks[phi.PhiPreds[i]] {
+		if !ok0 || l.Contains(phi.PhiPreds[i]) {
 			continue
 		}
-		if b.Op == ir.OpBin && b.BinOp == token.Plus && b.Args[0] == phi && l.Blocks[phi.PhiPreds[1-i]] {
+		if b.Op == ir.OpBin && b.BinOp == token.Plus && b.Args[0] == phi && l.Contains(phi.PhiPreds[1-i]) {
 			if s, ok1 := isConst(b.Args[1]); ok1 && s > 0 {
 				cs.phi, cs.inc, cs.init, cs.step = phi, b, c0, s
 				cs.bound = bound
@@ -99,7 +99,7 @@ func matchCountedLoop(l *ir.Loop) (counterShape, bool) {
 	return cs, false
 }
 
-func tryUnroll(f *ir.Func, l *ir.Loop, o Options) bool {
+func tryUnroll(f *ir.Func, l *ir.Loop, o Options, c *cfgScratch) bool {
 	cs, ok := matchCountedLoop(l)
 	if !ok {
 		return false
@@ -124,12 +124,12 @@ func tryUnroll(f *ir.Func, l *ir.Loop, o Options) bool {
 		return false
 	}
 	// All exits must leave from the header.
-	for b := range l.Blocks {
-		if b == l.Header {
+	for _, b := range f.Blocks {
+		if !l.Contains(b) || b == l.Header {
 			continue
 		}
 		for _, s := range b.Succs() {
-			if !l.Blocks[s] {
+			if !l.Contains(s) {
 				return false
 			}
 		}
@@ -143,11 +143,11 @@ func tryUnroll(f *ir.Func, l *ir.Loop, o Options) bool {
 		return false
 	}
 
-	doUnroll(f, l, cs, pre, trips)
+	doUnroll(f, l, cs, pre, trips, c)
 	return true
 }
 
-func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int64) {
+func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int64, c *cfgScratch) {
 	h := l.Header
 
 	// Collect header phis and their (outside, latch) incoming values.
@@ -155,6 +155,7 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 		phi        *ir.Instr
 		outsideVal *ir.Instr
 		latchVal   *ir.Instr
+		subst      *ir.Instr // what the phi is in the iteration being cloned
 	}
 	var phis []phiInfo
 	for _, in := range h.Instrs {
@@ -163,7 +164,7 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 		}
 		pi := phiInfo{phi: in}
 		for i, pb := range in.PhiPreds {
-			if l.Blocks[pb] {
+			if l.Contains(pb) {
 				pi.latchVal = in.Args[i]
 			} else {
 				pi.outsideVal = in.Args[i]
@@ -172,70 +173,77 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 		phis = append(phis, pi)
 	}
 
+	// Clone the body once per iteration. Every block created from here on
+	// is a clone. Iteration k's maps (cur) start with its substitution for
+	// the header phis, so a reference to a phi resolves like one to a
+	// cloned value; prev holds iteration k-1's. Clone k-1's latch jumps to
+	// clone k's header.
 	latch := l.Latches[0]
-	var bms []map[*ir.Block]*ir.Block
-	var vms []map[*ir.Instr]*ir.Instr
-
+	firstClone, nv := f.NumBlocks(), f.NumValues()
+	prev, cur := getCloneMap(), getCloneMap()
+	defer putCloneMap(prev)
+	defer putCloneMap(cur)
+	var entry, head, tail *ir.Block // clone 0's header, clone k's header and latch
 	for k := int64(0); k <= trips; k++ {
-		subst := map[*ir.Instr]*ir.Instr{}
-		for _, pi := range phis {
+		for i := range phis {
+			pi := &phis[i]
 			if k == 0 {
-				subst[pi.phi] = pi.outsideVal
+				pi.subst = pi.outsideVal
 			} else {
-				// vms[k-1] also contains the previous substitution, so a
-				// latch value that is itself a header phi resolves too.
-				v := pi.latchVal
-				if nv, ok := vms[k-1][v]; ok {
-					v = nv
+				// prev also holds the previous substitution, so a latch
+				// value that is itself a header phi resolves too.
+				pi.subst = pi.latchVal
+				if v, ok := prev.val(pi.latchVal); ok {
+					pi.subst = v
 				}
-				subst[pi.phi] = v
 			}
 		}
-		bm, vm := cloneIteration(f, l, subst, k == trips, cs)
-		bms = append(bms, bm)
-		vms = append(vms, vm)
-		// Merge the phi substitution into the value map so the next
-		// iteration (and external-use fixup) can resolve phi references.
-		for p, v := range subst {
-			vm[p] = v
+		cur.reset(firstClone, nv)
+		for _, pi := range phis {
+			cur.setVal(pi.phi, pi.subst)
 		}
-	}
-
-	// Chain: clone k's latch jumps to clone k+1's header.
-	for k := int64(0); k < trips; k++ {
-		lt := bms[k][latch].Term()
-		for i, tgt := range lt.Targets {
-			if tgt == bms[k][h] {
-				lt.Targets[i] = bms[k+1][h]
+		cloneIteration(f, l, cur, k == trips, cs)
+		nh, _ := cur.block(h)
+		if k == 0 {
+			entry = nh
+		} else {
+			lt := tail.Term()
+			for i, tgt := range lt.Targets {
+				if tgt == head {
+					lt.Targets[i] = nh
+				}
 			}
 		}
+		head, _ = cur.block(h)
+		tail, _ = cur.block(latch)
+		prev, cur = cur, prev
 	}
 
 	// Preheader enters clone 0.
 	pt := pre.Term()
 	for i, tgt := range pt.Targets {
 		if tgt == h {
-			pt.Targets[i] = bms[0][h]
+			pt.Targets[i] = entry
 		}
 	}
 
 	// External uses of loop-defined values resolve to the final clone
 	// (only header-defined values can dominate the outside).
-	final := vms[trips]
+	final := prev
 	for _, b := range f.Blocks {
-		if l.Blocks[b] || isCloneBlock(bms, b) {
+		if l.Contains(b) || b.ID >= firstClone {
 			continue
 		}
 		for _, in := range b.Instrs {
 			for i, a := range in.Args {
-				if na, ok := final[a]; ok {
+				if na, ok := final.val(a); ok {
 					in.Args[i] = na
 				}
 			}
 			if in.Op == ir.OpPhi {
 				for i, pb := range in.PhiPreds {
 					if pb == h {
-						in.PhiPreds[i] = bms[trips][h]
+						in.PhiPreds[i] = head
 					}
 				}
 			}
@@ -247,53 +255,44 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 	// uses of loop values survive.
 	var keep []*ir.Block
 	for _, b := range f.Blocks {
-		if !l.Blocks[b] {
+		if !l.Contains(b) {
 			keep = append(keep, b)
 		}
 	}
 	f.Blocks = keep
 	f.RecomputePreds()
-	removeUnreachable(f)
+	removeUnreachable(f, c)
 }
 
-func isCloneBlock(bms []map[*ir.Block]*ir.Block, b *ir.Block) bool {
-	for _, bm := range bms {
-		for _, nb := range bm {
-			if nb == b {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// cloneIteration clones the loop body for one iteration. Header phis are
-// not cloned — references to them resolve through subst. When last is set,
-// the header's branch exits the loop; otherwise it falls into this clone's
+// cloneIteration clones the loop body for one iteration, mapping each
+// loop block and value to its clone in m. Header phis are not cloned: m
+// maps each to the value it takes in this iteration. When last is set, the
+// header's branch exits the loop; otherwise it falls into this clone's
 // body.
-func cloneIteration(f *ir.Func, l *ir.Loop, subst map[*ir.Instr]*ir.Instr, last bool, cs counterShape) (map[*ir.Block]*ir.Block, map[*ir.Instr]*ir.Instr) {
-	bm := map[*ir.Block]*ir.Block{}
-	vm := map[*ir.Instr]*ir.Instr{}
+func cloneIteration(f *ir.Func, l *ir.Loop, m *cloneMap, last bool, cs counterShape) {
 	var order []*ir.Block
 	for _, b := range f.Blocks {
-		if l.Blocks[b] {
+		if l.Contains(b) {
 			order = append(order, b)
 		}
 	}
 	for _, b := range order {
-		bm[b] = f.NewBlock()
+		m.setBlock(b, f.NewBlock())
 	}
 	resolve := func(a *ir.Instr) *ir.Instr {
-		if s, ok := subst[a]; ok {
-			return s
-		}
-		if n, ok := vm[a]; ok {
+		if n, ok := m.val(a); ok {
 			return n
 		}
 		return a
 	}
+	mapBlock := func(b *ir.Block) *ir.Block {
+		if nb, ok := m.block(b); ok {
+			return nb
+		}
+		return b
+	}
 	for _, b := range order {
-		nb := bm[b]
+		nb := mapBlock(b)
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpPhi && b == l.Header {
 				continue // substituted away
@@ -303,7 +302,7 @@ func cloneIteration(f *ir.Func, l *ir.Loop, subst map[*ir.Instr]*ir.Instr, last 
 				if last {
 					br.Targets = []*ir.Block{cs.exit}
 				} else {
-					br.Targets = []*ir.Block{bm[cs.trueTgt]}
+					br.Targets = []*ir.Block{mapBlock(cs.trueTgt)}
 				}
 				nb.Instrs = append(nb.Instrs, br)
 				continue
@@ -320,31 +319,22 @@ func cloneIteration(f *ir.Func, l *ir.Loop, subst map[*ir.Instr]*ir.Instr, last 
 				ni.Args = append(ni.Args, resolve(a))
 			}
 			for _, t := range in.Targets {
-				if nt, ok := bm[t]; ok {
-					ni.Targets = append(ni.Targets, nt)
-				} else {
-					ni.Targets = append(ni.Targets, t)
-				}
+				ni.Targets = append(ni.Targets, mapBlock(t))
 			}
 			for _, pp := range in.PhiPreds {
-				if np, ok := bm[pp]; ok {
-					ni.PhiPreds = append(ni.PhiPreds, np)
-				} else {
-					ni.PhiPreds = append(ni.PhiPreds, pp)
-				}
+				ni.PhiPreds = append(ni.PhiPreds, mapBlock(pp))
 			}
-			vm[in] = ni
+			m.setVal(in, ni)
 			nb.Instrs = append(nb.Instrs, ni)
 		}
 	}
 	// Fix forward references (e.g. phi args in body blocks referring to
 	// later-cloned values through back edges within the body).
 	for _, b := range order {
-		for _, in := range bm[b].Instrs {
+		for _, in := range mapBlock(b).Instrs {
 			for i, a := range in.Args {
 				in.Args[i] = resolve(a)
 			}
 		}
 	}
-	return bm, vm
 }

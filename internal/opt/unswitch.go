@@ -25,23 +25,23 @@ func unswitchFunc(f *ir.Func, o Options) bool {
 	// would corrupt loop cloning; sweep them first. (Natural-loop
 	// reasoning in this file assumes all blocks are reachable.) The sweep
 	// is not a reported change, but the dirty tracking must see it.
-	if removeUnreachable(f) {
+	c := getCFG()
+	defer putCFG(c)
+	if removeUnreachable(f, c) {
 		f.MarkMutated()
 	}
 	// One unswitch per function per pass invocation keeps growth tame;
 	// the pipeline iterates.
-	return unswitchOne(f, o)
+	return unswitchOne(f, o, c)
 }
 
-func unswitchOne(f *ir.Func, o Options) bool {
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
-	for _, l := range loops {
+func unswitchOne(f *ir.Func, o Options, c *cfgScratch) bool {
+	for _, l := range c.loops(f) {
 		// Find an invariant conditional branch in a non-header block.
 		// Iterate f.Blocks (not the loop's block set) for determinism.
 		var cbr *ir.Instr
 		for _, b := range f.Blocks {
-			if !l.Blocks[b] {
+			if !l.Contains(b) {
 				continue
 			}
 			t := b.Term()
@@ -49,7 +49,7 @@ func unswitchOne(f *ir.Func, o Options) bool {
 				continue
 			}
 			cond := t.Args[0]
-			if l.Blocks[cond.Block] {
+			if l.Contains(cond.Block) {
 				continue // condition computed in the loop: not invariant
 			}
 			if _, isC := isConst(cond); isC {
@@ -57,7 +57,7 @@ func unswitchOne(f *ir.Func, o Options) bool {
 			}
 			// Both targets must stay within the loop (otherwise this is a
 			// guarded exit; keep those for simplicity).
-			if !l.Blocks[t.Targets[0]] || !l.Blocks[t.Targets[1]] {
+			if !l.Contains(t.Targets[0]) || !l.Contains(t.Targets[1]) {
 				continue
 			}
 			cbr = t
@@ -88,7 +88,7 @@ func unswitchOne(f *ir.Func, o Options) bool {
 		// with a single phi (the value on the non-loop path is undefined).
 		onlyLoopPreds := true
 		for _, p := range exitBlock.Preds {
-			if !l.Blocks[p] {
+			if !l.Contains(p) {
 				onlyLoopPreds = false
 				break
 			}
@@ -96,7 +96,7 @@ func unswitchOne(f *ir.Func, o Options) bool {
 		if !onlyLoopPreds {
 			continue
 		}
-		doUnswitch(f, l, cbr, exitBlock, o)
+		doUnswitch(f, l, cbr, exitBlock, o, c)
 		return true
 	}
 	return false
@@ -105,13 +105,13 @@ func unswitchOne(f *ir.Func, o Options) bool {
 // buildLCSSA gives every loop-defined value that is used outside the loop a
 // dedicated phi in the (unique) exit block and reroutes the outside uses
 // through it. After this, duplicating the loop only requires extending the
-// exit block's phis.
-func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block) {
-	inLoop := func(b *ir.Block) bool { return l.Blocks[b] }
-	reach := f.Reachable()
+// exit block's phis. It computes reachability in c's table.
+func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block, c *cfgScratch) {
+	c.reach = f.ReachableInto(c.reach)
+	reach := c.reach
 	var loopVals []*ir.Instr
 	for _, b := range f.Blocks { // deterministic order
-		if !l.Blocks[b] {
+		if !l.Contains(b) {
 			continue
 		}
 		for _, in := range b.Instrs {
@@ -125,7 +125,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block) {
 		// not constrain anything and may violate dominance trivially).
 		hasOutside := false
 		for _, b := range f.Blocks {
-			if inLoop(b) || !reach[b.ID] {
+			if l.Contains(b) || !reach[b.ID] {
 				continue
 			}
 			for _, in := range b.Instrs {
@@ -133,7 +133,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block) {
 					if a != v {
 						continue
 					}
-					if in.Op == ir.OpPhi && in.Block == exit && inLoop(in.PhiPreds[i]) {
+					if in.Op == ir.OpPhi && in.Block == exit && l.Contains(in.PhiPreds[i]) {
 						continue // already edge-correct
 					}
 					hasOutside = true
@@ -145,7 +145,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block) {
 		}
 		phi := exit.NewInstr(ir.OpPhi, v.Typ)
 		for _, p := range exit.Preds {
-			if inLoop(p) {
+			if l.Contains(p) {
 				phi.Args = append(phi.Args, v)
 				phi.PhiPreds = append(phi.PhiPreds, p)
 			}
@@ -159,7 +159,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block) {
 		}
 		exit.Instrs = append([]*ir.Instr{phi}, exit.Instrs...)
 		for _, b := range f.Blocks {
-			if inLoop(b) || !reach[b.ID] {
+			if l.Contains(b) || !reach[b.ID] {
 				continue
 			}
 			for _, in := range b.Instrs {
@@ -170,7 +170,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block) {
 					if a != v {
 						continue
 					}
-					if in.Op == ir.OpPhi && in.Block == exit && inLoop(in.PhiPreds[i]) {
+					if in.Op == ir.OpPhi && in.Block == exit && l.Contains(in.PhiPreds[i]) {
 						continue
 					}
 					in.Args[i] = phi
@@ -182,22 +182,26 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block) {
 
 func loopSize(l *ir.Loop) int {
 	n := 0
-	for b := range l.Blocks {
-		n += len(b.Instrs)
+	for _, b := range l.Header.Func.Blocks {
+		if l.Contains(b) {
+			n += len(b.Instrs)
+		}
 	}
 	return n
 }
 
-func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options) {
+func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options, c *cfgScratch) {
 	pre := preheader(f, l)
 	if pre == nil {
 		return
 	}
-	buildLCSSA(f, l, exit)
+	buildLCSSA(f, l, exit, c)
 	cond := cbr.Args[0]
 
 	// Clone the loop: the clone is the "false" version.
-	bm, vm := cloneRegion(f, l)
+	cm := getCloneMap()
+	defer putCloneMap(cm)
+	cloneRegion(f, l, cm)
 
 	// Original: branch always goes to the true target.
 	trueTgt := cbr.Targets[0]
@@ -208,7 +212,7 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 	cbr.Targets = []*ir.Block{trueTgt}
 
 	// Clone: branch always goes to the (cloned) false target.
-	cc := vm[cbr]
+	cc, _ := cm.val(cbr)
 	ccTrue := cc.Targets[0]
 	ir.RemoveEdge(cc.Block, ccTrue)
 	cc.Op = ir.OpBr
@@ -220,14 +224,14 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 	// with the same (necessarily loop-external) values... except values
 	// defined in the loop, which map through vm.
 	for _, b := range f.Blocks {
-		if !l.Blocks[b] {
+		if !l.Contains(b) {
 			continue
 		}
 		for _, s := range b.Succs() {
-			if l.Blocks[s] {
+			if l.Contains(s) {
 				continue
 			}
-			nb := bm[b]
+			nb, _ := cm.block(b)
 			for _, in := range s.Instrs {
 				if in.Op != ir.OpPhi {
 					break
@@ -235,7 +239,7 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 				for j, pb := range in.PhiPreds {
 					if pb == b {
 						v := in.Args[j]
-						if nv, ok := vm[v]; ok {
+						if nv, ok := cm.val(v); ok {
 							v = nv
 						}
 						in.Args = append(in.Args, v)
@@ -262,33 +266,39 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 	pt := pre.Term()
 	pt.Op = ir.OpCondBr
 	pt.Args = []*ir.Instr{testCond}
-	pt.Targets = []*ir.Block{l.Header, bm[l.Header]}
-	ir.AddEdge(pre, bm[l.Header])
+	ch, _ := cm.block(l.Header)
+	pt.Targets = []*ir.Block{l.Header, ch}
+	ir.AddEdge(pre, ch)
 
 	// The cloned header's phis already reference pre for their outside
 	// entries (cloneRegion maps outside preds to themselves).
 	f.RecomputePreds()
-	removeUnreachable(f)
+	removeUnreachable(f, c)
 }
 
 // cloneRegion duplicates the blocks of a loop within f, mapping internal
 // edges and values; references to values and blocks outside the region are
-// shared. Returns the block and value maps.
-func cloneRegion(f *ir.Func, l *ir.Loop) (map[*ir.Block]*ir.Block, map[*ir.Instr]*ir.Instr) {
-	bm := map[*ir.Block]*ir.Block{}
-	vm := map[*ir.Instr]*ir.Instr{}
+// shared. It maps each loop block and value to its copy in m.
+func cloneRegion(f *ir.Func, l *ir.Loop, m *cloneMap) {
+	m.reset(f.NumBlocks(), f.NumValues())
 	// Deterministic iteration order: walk f.Blocks.
 	var order []*ir.Block
 	for _, b := range f.Blocks {
-		if l.Blocks[b] {
+		if l.Contains(b) {
 			order = append(order, b)
 		}
 	}
 	for _, b := range order {
-		bm[b] = f.NewBlock()
+		m.setBlock(b, f.NewBlock())
+	}
+	mapBlock := func(b *ir.Block) *ir.Block {
+		if nb, ok := m.block(b); ok {
+			return nb
+		}
+		return b
 	}
 	for _, b := range order {
-		nb := bm[b]
+		nb := mapBlock(b)
 		for _, in := range b.Instrs {
 			ni := nb.NewInstr(in.Op, in.Typ)
 			ni.IntVal = in.IntVal
@@ -300,20 +310,12 @@ func cloneRegion(f *ir.Func, l *ir.Loop) (map[*ir.Block]*ir.Block, map[*ir.Instr
 			ni.Widened = in.Widened
 			ni.Args = append(ni.Args, in.Args...)
 			for _, t := range in.Targets {
-				if nt, ok := bm[t]; ok {
-					ni.Targets = append(ni.Targets, nt)
-				} else {
-					ni.Targets = append(ni.Targets, t)
-				}
+				ni.Targets = append(ni.Targets, mapBlock(t))
 			}
 			for _, pp := range in.PhiPreds {
-				if np, ok := bm[pp]; ok {
-					ni.PhiPreds = append(ni.PhiPreds, np)
-				} else {
-					ni.PhiPreds = append(ni.PhiPreds, pp)
-				}
+				ni.PhiPreds = append(ni.PhiPreds, mapBlock(pp))
 			}
-			vm[in] = ni
+			m.setVal(in, ni)
 			nb.Instrs = append(nb.Instrs, ni)
 		}
 	}
@@ -321,21 +323,16 @@ func cloneRegion(f *ir.Func, l *ir.Loop) (map[*ir.Block]*ir.Block, map[*ir.Instr
 	// predecessor lists (outside preds stay shared; the caller rewires
 	// them and finishes with RecomputePreds).
 	for _, b := range order {
-		nb := bm[b]
+		nb := mapBlock(b)
 		for _, in := range nb.Instrs {
 			for i, a := range in.Args {
-				if na, ok := vm[a]; ok {
+				if na, ok := m.val(a); ok {
 					in.Args[i] = na
 				}
 			}
 		}
 		for _, p := range b.Preds {
-			if np, ok := bm[p]; ok {
-				nb.Preds = append(nb.Preds, np)
-			} else {
-				nb.Preds = append(nb.Preds, p)
-			}
+			nb.Preds = append(nb.Preds, mapBlock(p))
 		}
 	}
-	return bm, vm
 }

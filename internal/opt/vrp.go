@@ -89,17 +89,25 @@ type knownRange struct {
 	known bool
 }
 
-// vrpPool recycles vrp's range table (see scratch.go; the table holds no
-// pointers, so it needs no clearing on return).
-var vrpPool = sync.Pool{New: func() any { return new([]knownRange) }}
+// vrpState is vrp's pooled scratch (see scratch.go): the CFG analyses
+// and the range table, which holds no pointers.
+type vrpState struct {
+	cfg    cfgScratch
+	ranges []knownRange
+}
+
+var vrpPool = sync.Pool{New: func() any { return new(vrpState) }}
 
 func vrpFunc(f *ir.Func, o Options) bool {
+	st := vrpPool.Get().(*vrpState)
+	defer func() {
+		st.cfg.reset()
+		vrpPool.Put(st)
+	}()
 	// Ranges by Instr.ID, for the values f has on entry; values created
 	// later (the folded constants) have none.
-	table := vrpPool.Get().(*[]knownRange)
-	defer vrpPool.Put(table)
-	*table = resize(*table, f.NumValues())
-	ranges := *table
+	st.ranges = resize(st.ranges, f.NumValues())
+	ranges := st.ranges
 	get := func(v *ir.Instr) vrange {
 		if v.ID < len(ranges) && ranges[v.ID].known {
 			return ranges[v.ID].r
@@ -107,8 +115,8 @@ func vrpFunc(f *ir.Func, o Options) bool {
 		return fullR()
 	}
 
-	dt := ir.Dominators(f)
-	counterRanges := loopCounterRanges(f, dt)
+	dt := st.cfg.dominators(f)
+	counterRanges := loopCounterRanges(st.cfg.lf.Find(f, dt))
 
 	// Fixpoint with a visit cap; ranges only widen (to full) so this
 	// terminates quickly.
@@ -456,9 +464,8 @@ func decideCmp(op token.Kind, x, y vrange) (int64, bool) {
 // emits — phi i = [C0, preheader] [i + S, latch] with a header comparison
 // i < N guarding the latch — and assigns the phi the range [C0, N-1+S]
 // (for positive S; symmetric for negative).
-func loopCounterRanges(f *ir.Func, dt *ir.DomTree) map[*ir.Instr]vrange {
+func loopCounterRanges(loops []*ir.Loop) map[*ir.Instr]vrange {
 	out := map[*ir.Instr]vrange{}
-	loops := ir.NaturalLoops(f, dt)
 	for _, l := range loops {
 		h := l.Header
 		// Header must end in condbr(lt(i, N)) with the false edge leaving
@@ -475,7 +482,7 @@ func loopCounterRanges(f *ir.Func, dt *ir.DomTree) map[*ir.Instr]vrange {
 		if !ok {
 			continue
 		}
-		if l.Blocks[t.Targets[1]] {
+		if l.Contains(t.Targets[1]) {
 			continue // false edge must exit
 		}
 		phi := cmp.Args[0]
@@ -489,11 +496,11 @@ func loopCounterRanges(f *ir.Func, dt *ir.DomTree) map[*ir.Instr]vrange {
 		for i := 0; i < 2; i++ {
 			a, b := phi.Args[i], phi.Args[1-i]
 			c0, ok0 := isConst(a)
-			if !ok0 || l.Blocks[phi.PhiPreds[i]] {
+			if !ok0 || l.Contains(phi.PhiPreds[i]) {
 				continue
 			}
 			if b.Op == ir.OpBin && b.BinOp == token.Plus && b.Args[0] == phi {
-				if s, ok1 := isConst(b.Args[1]); ok1 && s > 0 && l.Blocks[phi.PhiPreds[1-i]] {
+				if s, ok1 := isConst(b.Args[1]); ok1 && s > 0 && l.Contains(phi.PhiPreds[1-i]) {
 					init, step = c0, s
 					okShape = true
 				}

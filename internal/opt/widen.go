@@ -24,12 +24,12 @@ func widenStoresFunc(f *ir.Func, o Options) bool {
 	if !o.WidenPointerLoopStores {
 		return false
 	}
-	dt := ir.Dominators(f)
-	loops := ir.NaturalLoops(f, dt)
+	c := getCFG()
+	defer putCFG(c)
 	changed := false
-	for _, l := range loops {
+	for _, l := range c.loops(f) {
 		for _, b := range f.Blocks {
-			if !l.Blocks[b] {
+			if !l.Contains(b) {
 				continue
 			}
 			for _, in := range b.Instrs {
