@@ -3,7 +3,8 @@ package ir
 import (
 	"errors"
 	"fmt"
-	"sync"
+
+	"dcelens/internal/pool"
 )
 
 // Verify checks structural SSA invariants of every function in the module:
@@ -40,10 +41,10 @@ type verifier struct {
 	dt      DomTree
 }
 
-var verifierPool = sync.Pool{New: func() any { return new(verifier) }}
+var verifierPool = pool.Pool[verifier]{New: func() *verifier { return new(verifier) }}
 
 func verifyFunc(f *Func) error {
-	v := verifierPool.Get().(*verifier)
+	v := verifierPool.Get()
 	defer func() {
 		v.blockAt, v.defs = truncate(v.blockAt), truncate(v.defs)
 		v.dt.Reset()

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"dcelens/internal/pool/pooltest"
 	"dcelens/internal/types"
 )
 
@@ -327,4 +328,28 @@ func TestRelocator(t *testing.T) {
 		}
 	}()
 	r.Add(&Instr{Op: OpConst, ID: sum.ID, Typ: i32, Block: other.Entry()}, foreign)
+}
+
+// TestVerifierPoolZero: a verifier back in its pool references no block
+// or value, after functions that grow and then shrink (the pooled-scratch
+// rule of internal/opt's scratch.go).
+func TestVerifierPoolZero(t *testing.T) {
+	for _, n := range []int{3, 9, 14, 6, 2} {
+		var edges [][2]int
+		for i := 0; i+1 < n; i++ {
+			edges = append(edges, [2]int{i, i + 1}, [2]int{i, (i + 2) % n})
+		}
+		if err := VerifyFunc(buildCFG(n, edges)); err != nil {
+			t.Fatalf("%d blocks: %v", n, err)
+		}
+	}
+	states := pooltest.Drain(&verifierPool)
+	if len(states) == 0 {
+		t.Fatal("the verifier pool held no state after Verify ran")
+	}
+	for _, v := range states {
+		if path, ok := pooltest.Pinned(v); ok {
+			t.Errorf("pooled verifier references memory at %s", path)
+		}
+	}
 }

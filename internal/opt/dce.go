@@ -1,9 +1,8 @@
 package opt
 
 import (
-	"sync"
-
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 )
 
 // DCE removes instructions whose results are unused and that have no side
@@ -29,7 +28,7 @@ func dceFunc(f *ir.Func, o Options) bool {
 			}
 		}
 	}
-	sc := dcePool.Get().(*dceScratch)
+	sc := dcePool.Get()
 	changed := sc.sweep(f)
 	dcePool.Put(sc)
 	if changed {
@@ -108,4 +107,4 @@ type dceScratch struct {
 	work []*ir.Instr
 }
 
-var dcePool = sync.Pool{New: func() any { return new(dceScratch) }}
+var dcePool = pool.Pool[dceScratch]{New: func() *dceScratch { return new(dceScratch) }}

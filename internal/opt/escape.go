@@ -1,9 +1,8 @@
 package opt
 
 import (
-	"sync"
-
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 )
 
 // ComputeEscapesOpt honours the PessimisticEscape ablation knob. It reports
@@ -52,10 +51,10 @@ type escapeTables struct {
 	esc, exp []bool // by Instr.ID
 }
 
-var escapePool = sync.Pool{New: func() any { return new(escapeTables) }}
+var escapePool = pool.Pool[escapeTables]{New: func() *escapeTables { return new(escapeTables) }}
 
 func computeEscapes(m *ir.Module) {
-	t := escapePool.Get().(*escapeTables)
+	t := escapePool.Get()
 	t.compute(m)
 	escapePool.Put(t)
 }

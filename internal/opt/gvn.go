@@ -2,9 +2,9 @@ package opt
 
 import (
 	"fmt"
-	"sync"
 
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 	"dcelens/internal/token"
 	"dcelens/internal/types"
 )
@@ -123,7 +123,7 @@ func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
 	return changed
 }
 
-var gvnPool = sync.Pool{New: func() any {
+var gvnPool = pool.Pool[gvnState]{New: func() *gvnState {
 	return &gvnState{
 		table:   map[gvnKey]*ir.Instr{},
 		typeIDs: map[*types.Type]int{},
@@ -132,7 +132,7 @@ var gvnPool = sync.Pool{New: func() any {
 }}
 
 func gvnFunc(f *ir.Func, o Options) bool {
-	g := gvnPool.Get().(*gvnState)
+	g := gvnPool.Get()
 	dt := g.cfg.dominators(f)
 	g.o = o
 	g.ac.reset(f, o.Alias)

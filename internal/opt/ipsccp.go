@@ -2,9 +2,9 @@ package opt
 
 import (
 	"fmt"
-	"sync"
 
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 	"dcelens/internal/types"
 )
 
@@ -107,14 +107,14 @@ type globalAccessInfo struct {
 	badGEP              bool        // disallowed use within a GEP chain
 }
 
-var accessPool = sync.Pool{New: func() any {
+var accessPool = pool.Pool[accessIndex]{New: func() *accessIndex {
 	return &accessIndex{info: map[*ir.Global]*globalAccessInfo{}}
 }}
 
 // buildAccessIndex indexes m's global accesses; the caller releases the
 // index once it is done with it and with the access lists it returned.
 func buildAccessIndex(m *ir.Module) *accessIndex {
-	ai := accessPool.Get().(*accessIndex)
+	ai := accessPool.Get()
 	ai.rebuild(m)
 	return ai
 }

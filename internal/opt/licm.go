@@ -2,9 +2,9 @@ package opt
 
 import (
 	"fmt"
-	"sync"
 
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 )
 
 // LICM hoists loop-invariant computations into a preheader: pure
@@ -17,7 +17,7 @@ var LICM = Pass{Name: "licm", Pre: ComputeEscapesOpt, Fn: licmFunc, Reads: func(
 }}
 
 func licmFunc(f *ir.Func, o Options) bool {
-	st := licmPool.Get().(*licmState)
+	st := licmPool.Get()
 	changed := false
 	if removeUnreachable(f, &st.cfg) { // preheader creation assumes reachable preds
 		f.MarkMutated() // unreported mutation; dirty tracking must see it
@@ -43,7 +43,7 @@ type licmState struct {
 	defined []bool
 }
 
-var licmPool = sync.Pool{New: func() any { return new(licmState) }}
+var licmPool = pool.Pool[licmState]{New: func() *licmState { return new(licmState) }}
 
 // loadSubject names the location a load reads, for remarks.
 func loadSubject(in *ir.Instr) string {

@@ -1,9 +1,8 @@
 package opt
 
 import (
-	"sync"
-
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 	"dcelens/internal/sema"
 	"dcelens/internal/token"
 )
@@ -17,10 +16,10 @@ var SCCP = Pass{Name: "sccp", Fn: sccpFunc, Reads: func(o Options) Options {
 	return Options{FoldPtrCmpNonzeroOffset: o.FoldPtrCmpNonzeroOffset}
 }}
 
-var sccpPool = sync.Pool{New: func() any { return new(sccpState) }}
+var sccpPool = pool.Pool[sccpState]{New: func() *sccpState { return new(sccpState) }}
 
 func sccpFunc(f *ir.Func, o Options) bool {
-	s := sccpPool.Get().(*sccpState)
+	s := sccpPool.Get()
 	s.f, s.opts = f, o
 	s.lat = resize(s.lat, f.NumValues())
 	s.edgeExec = resize(s.edgeExec, f.NumBlocks()*2)

@@ -1,28 +1,30 @@
 package opt
 
 import (
-	"sync"
-
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 )
 
 // Pooled pass scratch. The hot function passes (sccp, dce, gvn, vrp,
 // licm) run once per function per pass instance, many times per compile
 // unit, and each needs dense-ID tables as large as the function, as do
-// the analyses they call (dominator tree, loops, reachability). Each
-// keeps its tables in one state value recycled through its own sync.Pool,
-// and the passes with no other pooled state share a pool of Relocators
-// and one of CFG analyses (cfgScratch), all under one rule: a pooled table is zero beyond its length at all
-// times. So resize clears only the length the last user left, a worklist
-// zeroes each slot it pops, a table that shrinks while held zeroes the
-// slots it drops, and before a state returns to its pool every table that
-// holds pointers is cleared over exactly its length and the state drops
-// the function and options it served. A pooled state therefore never pins
-// a finished module, and a unit pays to clear only the slots it wrote,
-// not a table's capacity, which tracks the largest function the state
-// ever served. While the collector marks, every pointer slot cleared also
-// pays a write barrier. Campaign workers compile concurrently and share
-// the pools; sync.Pool hands each state to one goroutine at a time.
+// the analyses the passes call: dominator tree, loops, reachability,
+// alias exposure, the module's global accesses and escapes, and the maps
+// of the cloning passes (inline, unroll, unswitch). Each pass keeps its
+// tables in one state value recycled through its own pool.Pool, and the
+// passes with no other pooled state share pools of Relocators, of CFG
+// analyses (cfgScratch) and of clone maps, all under one rule: a pooled
+// table is zero beyond its length at all times. So resize clears only the
+// length the last user left, a worklist zeroes each slot it pops, a table
+// that shrinks while held zeroes the slots it drops, and before a state
+// returns to its pool every table that holds pointers is cleared over
+// exactly its length and the state drops the function and options it
+// served. A pooled state therefore never pins a finished module, and a
+// unit pays to clear only the slots it wrote, not a table's capacity,
+// which tracks the largest function the state ever served. While the
+// collector marks, every pointer slot cleared also pays a write barrier.
+// Campaign workers compile concurrently and share the pools, which hand
+// each state to one goroutine at a time.
 
 // resize returns s with length n and every element zero, reusing its
 // backing array when it is large enough. A new array gets a quarter more
@@ -81,9 +83,9 @@ func (c *cfgScratch) reset() {
 	c.lf.Reset()
 }
 
-var cfgPool = sync.Pool{New: func() any { return new(cfgScratch) }}
+var cfgPool = pool.Pool[cfgScratch]{New: func() *cfgScratch { return new(cfgScratch) }}
 
-func getCFG() *cfgScratch { return cfgPool.Get().(*cfgScratch) }
+func getCFG() *cfgScratch { return cfgPool.Get() }
 
 func putCFG(c *cfgScratch) {
 	c.reset()
@@ -133,9 +135,9 @@ func (m *cloneMap) val(v *ir.Instr) (*ir.Instr, bool) {
 	return nil, false
 }
 
-var clonePool = sync.Pool{New: func() any { return new(cloneMap) }}
+var clonePool = pool.Pool[cloneMap]{New: func() *cloneMap { return new(cloneMap) }}
 
-func getCloneMap() *cloneMap { return clonePool.Get().(*cloneMap) }
+func getCloneMap() *cloneMap { return clonePool.Get() }
 
 func putCloneMap(m *cloneMap) {
 	m.blocks, m.vals = shrink(m.blocks, 0), shrink(m.vals, 0)
@@ -145,9 +147,9 @@ func putCloneMap(m *cloneMap) {
 // relocPool recycles the Relocators of passes that keep no other pooled
 // state; putRelocator resets one, zeroing its occupied slots, before it
 // returns.
-var relocPool = sync.Pool{New: func() any { return new(ir.Relocator) }}
+var relocPool = pool.Pool[ir.Relocator]{New: func() *ir.Relocator { return new(ir.Relocator) }}
 
-func getRelocator() *ir.Relocator { return relocPool.Get().(*ir.Relocator) }
+func getRelocator() *ir.Relocator { return relocPool.Get() }
 
 func putRelocator(r *ir.Relocator) {
 	r.Reset()

@@ -1,17 +1,14 @@
 package opt
 
 import (
-	"fmt"
-	"reflect"
-	"runtime"
-	"runtime/debug"
-	"sync"
 	"testing"
 
 	"dcelens/internal/cgen"
 	"dcelens/internal/instrument"
 	"dcelens/internal/ir"
 	"dcelens/internal/lower"
+	"dcelens/internal/pool"
+	"dcelens/internal/pool/pooltest"
 )
 
 // remarkSink is an observer that is also a remark sink, so a pipeline run
@@ -22,55 +19,22 @@ func (remarkSink) BeginPipeline(*ir.Module)                          {}
 func (remarkSink) AfterPass(*ir.Module, string, int, int, PassStats) {}
 func (remarkSink) Remark(Remark)                                     {}
 
-// pinnedSlot returns the path of the first slot in v that references
-// memory: a non-nil pointer, interface, func or channel, a non-empty
-// string or map, looking through structs, arrays, and every element of a
-// slice up to its capacity.
-func pinnedSlot(v reflect.Value) (string, bool) {
-	switch v.Kind() {
-	case reflect.Pointer, reflect.Interface, reflect.Func, reflect.Chan, reflect.UnsafePointer:
-		return "", !v.IsNil()
-	case reflect.Map, reflect.String:
-		return "", v.Len() > 0
-	case reflect.Struct:
-		for i := 0; i < v.NumField(); i++ {
-			if p, ok := pinnedSlot(v.Field(i)); ok {
-				return "." + v.Type().Field(i).Name + p, true
-			}
-		}
-	case reflect.Slice, reflect.Array:
-		if v.Kind() == reflect.Slice {
-			v = v.Slice(0, v.Cap())
-		}
-		for i := 0; i < v.Len(); i++ {
-			if p, ok := pinnedSlot(v.Index(i)); ok {
-				return fmt.Sprintf("[%d]%s", i, p), true
-			}
-		}
-	}
-	return "", false
-}
-
 // TestPooledScratchZero checks the pooled-scratch rule (scratch.go): after
 // the pooled passes have run over generated modules, every state taken
-// back from the sccp, dce, gvn and relocator pools references nothing —
+// back from the pass, analysis and relocator pools references nothing —
 // each slot of each pointer-holding table is nil over the table's full
-// capacity, so no pool pins a finished module. The collector is off, so
-// no pooled state is dropped before it is inspected, and one P puts every
-// state where the inspecting goroutine can take it back.
+// capacity, so no pool pins a finished module.
 func TestPooledScratchZero(t *testing.T) {
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-
 	o := Options{
 		GlobalProp: GlobalPropSameConst, Alias: AliasBaseObject,
 		FoldPtrCmpNonzeroOffset: true, ShiftNonzeroRelation: true,
-		LoadForwarding: true, RedundantStoreElim: true,
+		LoadForwarding: true, RedundantStoreElim: true, WidenPointerLoopStores: true,
 		InlineBudget: 40, UnrollMaxTrip: 8,
 	}
 	passes := []Pass{Compact, Mem2Reg, IPSCCP, SCCP, InstCombine, SimplifyCFG, Inline,
-		LICM, GVN, VRP, DCE, Unroll, SCCP, InstCombine, GVN, DCE, SimplifyCFG}
-	compile := func(seed int64) {
+		LICM, GVN, VRP, DCE, Unroll, Unswitch, WidenStores, SCCP, InstCombine, GVN, DCE,
+		JumpThread, SimplifyCFG}
+	for seed := int64(1); seed <= 12; seed++ {
 		ins, err := instrument.Instrument(cgen.Generate(cgen.DefaultConfig(seed)), instrument.Options{})
 		if err != nil {
 			t.Fatal(err)
@@ -88,42 +52,31 @@ func TestPooledScratchZero(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 	}
-	// drain takes every state out of pool.
-	drain := func(pool *sync.Pool) []any {
-		newState := pool.New
-		pool.New = nil // Get returns nil once the pool is empty
-		var states []any
-		for x := pool.Get(); x != nil; x = pool.Get() {
-			states = append(states, x)
-		}
-		pool.New = newState
-		return states
-	}
-
-	var seed int64
-	for seed < 12 {
-		seed++
-		compile(seed)
-	}
 	for _, p := range []struct {
-		name string
-		pool *sync.Pool
-	}{{"sccp", &sccpPool}, {"dce", &dcePool}, {"gvn", &gvnPool}, {"relocator", &relocPool}} {
-		states := drain(p.pool)
-		// The race detector makes sync.Pool drop a quarter of all Puts,
-		// so the pool may hold nothing; compile until it does.
-		for tries := 0; len(states) == 0 && tries < 30; tries++ {
-			seed++
-			compile(seed)
-			states = drain(p.pool)
-		}
-		if len(states) == 0 {
+		name   string
+		states []any
+	}{
+		{"sccp", drain(&sccpPool)}, {"dce", drain(&dcePool)}, {"gvn", drain(&gvnPool)},
+		{"licm", drain(&licmPool)}, {"vrp", drain(&vrpPool)}, {"cfg", drain(&cfgPool)},
+		{"clone", drain(&clonePool)}, {"access", drain(&accessPool)},
+		{"escape", drain(&escapePool)}, {"relocator", drain(&relocPool)},
+	} {
+		if len(p.states) == 0 {
 			t.Errorf("the %s pool held no state after the passes ran", p.name)
 		}
-		for _, x := range states {
-			if path, ok := pinnedSlot(reflect.ValueOf(x).Elem()); ok {
+		for _, x := range p.states {
+			if path, ok := pooltest.Pinned(x); ok {
 				t.Errorf("pooled %s state references memory at %s", p.name, path)
 			}
 		}
 	}
+}
+
+// drain takes every state out of p.
+func drain[T any](p *pool.Pool[T]) []any {
+	var states []any
+	for _, x := range pooltest.Drain(p) {
+		states = append(states, x)
+	}
+	return states
 }

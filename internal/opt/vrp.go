@@ -1,9 +1,8 @@
 package opt
 
 import (
-	"sync"
-
 	"dcelens/internal/ir"
+	"dcelens/internal/pool"
 	"dcelens/internal/token"
 	"dcelens/internal/types"
 )
@@ -96,10 +95,10 @@ type vrpState struct {
 	ranges []knownRange
 }
 
-var vrpPool = sync.Pool{New: func() any { return new(vrpState) }}
+var vrpPool = pool.Pool[vrpState]{New: func() *vrpState { return new(vrpState) }}
 
 func vrpFunc(f *ir.Func, o Options) bool {
-	st := vrpPool.Get().(*vrpState)
+	st := vrpPool.Get()
 	defer func() {
 		st.cfg.reset()
 		vrpPool.Put(st)
