@@ -137,21 +137,31 @@ overhead_gate Trace "budget ~15%" 1.35 1.08 30
 # comparison per decision.
 overhead_gate Remark "budget ~3%" 1.25 1.08 3
 
-# Allocation-regression gate: allocs/op of the standard compile unit must
-# stay within 10% of the recorded baseline (scripts/alloc-baseline.txt).
-# Unlike wall time, allocation counts are nearly deterministic for the
-# fixed benchmark seed (pooled pass scratch dropped at a garbage collection
-# moves them by about 0.1%), so this catches churn regressions (a pass
-# reintroducing per-iteration map rebuilds, say) that timing gates would
-# hide in noise.
-baseline=$(grep -v '^#' scripts/alloc-baseline.txt | head -1)
-go test -run '^$' -bench 'BenchmarkUnitCompile$' -benchmem -benchtime 5x . | awk -v base="$baseline" '
+# Allocation-regression gate: allocs/op of the standard compile unit, and
+# B/op of the sweep-shaped campaign (what one dce-serve sweep job
+# computes), must each stay within 10% of the baselines recorded in
+# scripts/alloc-baseline.txt (first and second line). Unlike wall time,
+# allocation counts and bytes are nearly deterministic for the fixed
+# benchmark seeds, so this catches churn regressions (a pass reintroducing
+# per-iteration map rebuilds, an analysis rebuilding its tables instead of
+# reusing them) that timing gates would hide in noise.
+unit_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 1p)
+sweep_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 2p)
+go test -run '^$' -bench 'BenchmarkUnitCompile$' -benchmem -benchtime 5x . | awk -v base="$unit_baseline" '
     /BenchmarkUnitCompile/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i }
     END {
         if (allocs == 0) { print "unit compile bench did not run" > "/dev/stderr"; exit 1 }
         ratio = allocs / base
         printf "unit compile allocations: %d/op (baseline %d, gate +10%%)\n", allocs, base
         if (ratio > 1.10) { print "allocs/op regressed beyond the gate; if intentional, re-record scripts/alloc-baseline.txt" > "/dev/stderr"; exit 1 }
+    }'
+go test -run '^$' -bench 'BenchmarkCampaignThroughput/sweep$' -benchmem -benchtime 3x . | awk -v base="$sweep_baseline" '
+    /BenchmarkCampaignThroughput\/sweep/ { for (i = 1; i < NF; i++) if ($(i+1) == "B/op") bytes = $i }
+    END {
+        if (bytes == 0) { print "sweep campaign bench did not run" > "/dev/stderr"; exit 1 }
+        ratio = bytes / base
+        printf "sweep campaign bytes: %d/op (baseline %d, gate +10%%)\n", bytes, base
+        if (ratio > 1.10) { print "B/op regressed beyond the gate; if intentional, re-record scripts/alloc-baseline.txt" > "/dev/stderr"; exit 1 }
     }'
 
 # Parallel scaling gate: the scheduler must buy real throughput, not just
