@@ -75,7 +75,7 @@ func Dominators(f *Func) *DomTree {
 }
 
 // Rebuild makes t the dominator tree of f (see Dominators), reusing its
-// tables. Trees and slices t returned before are invalid afterwards.
+// tables. Slices t returned before (RPO, Children) are invalid afterwards.
 func (t *DomTree) Rebuild(f *Func) {
 	n := f.nextBlockID
 	t.idom = resize(t.idom, n)
