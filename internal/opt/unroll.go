@@ -176,14 +176,13 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 	// Clone the body once per iteration. Every block created from here on
 	// is a clone. Iteration k's maps (cur) start with its substitution for
 	// the header phis, so a reference to a phi resolves like one to a
-	// cloned value; prev holds iteration k-1's. Clone k-1's latch jumps to
-	// clone k's header.
+	// cloned value; prev holds iteration k-1's.
 	latch := l.Latches[0]
 	firstClone, nv := f.NumBlocks(), f.NumValues()
 	prev, cur := getCloneMap(), getCloneMap()
 	defer putCloneMap(prev)
 	defer putCloneMap(cur)
-	var entry, head, tail *ir.Block // clone 0's header, clone k's header and latch
+	var entry, head, tail *ir.Block // clone 0's header; the last clone's header and latch
 	for k := int64(0); k <= trips; k++ {
 		for i := range phis {
 			pi := &phis[i]
@@ -207,6 +206,7 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 		if k == 0 {
 			entry = nh
 		} else {
+			// Clone k-1's latch jumps to clone k's header.
 			lt := tail.Term()
 			for i, tgt := range lt.Targets {
 				if tgt == head {
@@ -214,7 +214,7 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 				}
 			}
 		}
-		head, _ = cur.block(h)
+		head = nh
 		tail, _ = cur.block(latch)
 		prev, cur = cur, prev
 	}
