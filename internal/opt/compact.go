@@ -26,7 +26,7 @@ var Compact = Pass{Name: "compact", Fn: compactFunc}
 
 func compactFunc(f *ir.Func, o Options) bool {
 	changed := false
-	reloc := getRelocator()
+	reloc := relocPool.Get()
 	for _, b := range f.Blocks {
 		keep := b.Instrs[:0]
 		for _, in := range b.Instrs {
@@ -80,7 +80,7 @@ func compactFunc(f *ir.Func, o Options) bool {
 			changed = true
 		}
 	}
-	c := getCFG()
+	c := cfgPool.Get()
 	if removeUnreachable(f, c) {
 		changed = true
 	}

@@ -41,7 +41,7 @@ func gvnForward(m *ir.Module, o Options, inv *Invalidation) bool {
 // would miss.
 func singleStoreForward(m *ir.Module, o Options, inv *Invalidation) bool {
 	changed := false
-	c := getCFG()
+	c := cfgPool.Get()
 	defer putCFG(c)
 	ai := buildAccessIndex(m)
 	defer ai.release()

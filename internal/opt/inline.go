@@ -20,7 +20,7 @@ func inline(m *ir.Module, o Options, inv *Invalidation) bool {
 		return false
 	}
 	recursive := recursiveFuncs(m)
-	cm := getCloneMap()
+	cm := clonePool.Get()
 	defer putCloneMap(cm)
 	changed := false
 	for _, caller := range m.Funcs {

@@ -17,7 +17,7 @@ var InstCombine = Pass{Name: "instcombine", Fn: instCombineFunc, Reads: func(o O
 
 func instCombineFunc(f *ir.Func, o Options) bool {
 	changed := false
-	reloc := getRelocator()
+	reloc := relocPool.Get()
 	for {
 		local := false
 		for _, b := range f.Blocks {

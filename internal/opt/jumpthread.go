@@ -18,7 +18,7 @@ import (
 var JumpThread = Pass{Name: "jumpthread", Fn: jumpThreadFunc}
 
 func jumpThreadFunc(f *ir.Func, o Options) bool {
-	c := getCFG()
+	c := cfgPool.Get()
 	changed := false
 	for jumpThreadOnce(f, c) {
 		changed = true

@@ -37,13 +37,13 @@ func mem2regFunc(f *ir.Func, o Options) bool {
 		return false
 	}
 
-	c := getCFG()
+	c := cfgPool.Get()
 	dt := c.dominators(f)
 	df := dt.Frontiers()
 
 	// All promotions share one relocation batch: dropped loads resolve
 	// through it on read, and a single Apply sweep rewrites the survivors.
-	reloc := getRelocator()
+	reloc := relocPool.Get()
 	for _, a := range cands {
 		promote(f, a, dt, df, reloc)
 		o.applied()

@@ -85,8 +85,6 @@ func (c *cfgScratch) reset() {
 
 var cfgPool = pool.Pool[cfgScratch]{New: func() *cfgScratch { return new(cfgScratch) }}
 
-func getCFG() *cfgScratch { return cfgPool.Get() }
-
 func putCFG(c *cfgScratch) {
 	c.reset()
 	cfgPool.Put(c)
@@ -137,8 +135,6 @@ func (m *cloneMap) val(v *ir.Instr) (*ir.Instr, bool) {
 
 var clonePool = pool.Pool[cloneMap]{New: func() *cloneMap { return new(cloneMap) }}
 
-func getCloneMap() *cloneMap { return clonePool.Get() }
-
 func putCloneMap(m *cloneMap) {
 	m.blocks, m.vals = shrink(m.blocks, 0), shrink(m.vals, 0)
 	clonePool.Put(m)
@@ -148,8 +144,6 @@ func putCloneMap(m *cloneMap) {
 // state; putRelocator resets one, zeroing its occupied slots, before it
 // returns.
 var relocPool = pool.Pool[ir.Relocator]{New: func() *ir.Relocator { return new(ir.Relocator) }}
-
-func getRelocator() *ir.Relocator { return relocPool.Get() }
 
 func putRelocator(r *ir.Relocator) {
 	r.Reset()

@@ -12,7 +12,7 @@ import (
 var SimplifyCFG = Pass{Name: "simplifycfg", Fn: simplifyCFGFunc}
 
 func simplifyCFGFunc(f *ir.Func, o Options) bool {
-	c := getCFG()
+	c := cfgPool.Get()
 	changed := false
 	for simplifyCFGOnce(f, c) {
 		changed = true
@@ -33,7 +33,7 @@ func simplifyCFGOnce(f *ir.Func, c *cfgScratch) bool {
 	}
 	// Phi simplification batches its replacements: one Apply sweep instead
 	// of an O(function) ReplaceAllUses per trivial phi.
-	reloc := getRelocator()
+	reloc := relocPool.Get()
 	for _, b := range f.Blocks {
 		if simplifySingleEntryPhis(b, reloc) {
 			changed = true

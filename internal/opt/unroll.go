@@ -24,7 +24,7 @@ func unrollFunc(f *ir.Func, o Options) bool {
 	// sweep's result is not part of this pass's changed flag (simplifycfg
 	// owns that cleanup), but it is a body mutation the dirty tracking
 	// must see.
-	c := getCFG()
+	c := cfgPool.Get()
 	defer putCFG(c)
 	if removeUnreachable(f, c) {
 		f.MarkMutated()
@@ -179,7 +179,7 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 	// cloned value; prev holds iteration k-1's.
 	latch := l.Latches[0]
 	firstClone, nv := f.NumBlocks(), f.NumValues()
-	prev, cur := getCloneMap(), getCloneMap()
+	prev, cur := clonePool.Get(), clonePool.Get()
 	defer putCloneMap(prev)
 	defer putCloneMap(cur)
 	var entry, head, tail *ir.Block // clone 0's header; the last clone's header and latch

@@ -25,7 +25,7 @@ func unswitchFunc(f *ir.Func, o Options) bool {
 	// would corrupt loop cloning; sweep them first. (Natural-loop
 	// reasoning in this file assumes all blocks are reachable.) The sweep
 	// is not a reported change, but the dirty tracking must see it.
-	c := getCFG()
+	c := cfgPool.Get()
 	defer putCFG(c)
 	if removeUnreachable(f, c) {
 		f.MarkMutated()
@@ -199,7 +199,7 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 	cond := cbr.Args[0]
 
 	// Clone the loop: the clone is the "false" version.
-	cm := getCloneMap()
+	cm := clonePool.Get()
 	defer putCloneMap(cm)
 	cloneRegion(f, l, cm)
 

@@ -187,7 +187,7 @@ func vrpFunc(f *ir.Func, o Options) bool {
 	// folded this sweep sees the fresh constant (range-less), exactly as if
 	// each replacement had been applied eagerly.
 	foldedAny := false
-	reloc := getRelocator()
+	reloc := relocPool.Get()
 	defer putRelocator(reloc)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {

@@ -24,7 +24,7 @@ func widenStoresFunc(f *ir.Func, o Options) bool {
 	if !o.WidenPointerLoopStores {
 		return false
 	}
-	c := getCFG()
+	c := cfgPool.Get()
 	defer putCFG(c)
 	changed := false
 	for _, l := range c.loops(f) {
