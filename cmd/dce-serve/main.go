@@ -22,7 +22,8 @@
 // resubmitting a drained job's spec with its checkpoint path resumes
 // exactly the unrun seeds and reports byte-identically to an
 // uninterrupted run. With -cpuprofile or -memprofile, the profile is
-// written on that clean exit, after the drain.
+// written on that clean exit, after the drain; the heap profile still
+// holds every job the engine kept.
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"runtime"
 	"syscall"
 	"time"
 
@@ -53,7 +55,7 @@ func main() {
 	historyDir := flag.String("history", "", "directory for finished jobs' run-history snapshots (see dce-trend)")
 	prof := cli.Profiling()
 	flag.Parse()
-	defer prof.Start(tool)()
+	stopProf := prof.Start(tool)
 
 	if *workDir != "" {
 		if err := os.MkdirAll(*workDir, 0o755); err != nil {
@@ -95,4 +97,8 @@ func main() {
 		cli.Fail(tool, err)
 	}
 	fmt.Fprintf(os.Stderr, "%s: drained cleanly\n", tool)
+	// The heap profile's final collection would free every job if nothing
+	// referenced the engine any more, so it is written while eng is live.
+	stopProf()
+	runtime.KeepAlive(eng)
 }

@@ -47,9 +47,9 @@ type Journal struct {
 	seq int64
 	err error
 
-	ring []Entry // the tail; ring[head] is the oldest of n entries
+	ring []Entry // the tail, grown by Append up to size; once full, ring[head] is the oldest
 	head int
-	n    int
+	size int
 }
 
 // New returns a journal writing to w (nil: tail only); if w is also an
@@ -137,18 +137,19 @@ func (j *Journal) SetSeq(seq int64) {
 	j.seq = seq
 }
 
-// KeepTail keeps the newest n records in memory for Since; n <= 0 turns
-// the tail off. Call it before the first Append.
+// KeepTail keeps the newest n records in memory for Since, dropping any
+// tail already kept; n <= 0 turns the tail off. The tail grows as records
+// arrive, so a journal that appends little holds little. It may be called
+// after appends: KeepTail(0) then releases the tail and keeps the seq, so
+// Since answers nothing at the head seq, which a ?since=N reader takes
+// for dropped records.
 func (j *Journal) KeepTail(n int) {
 	if j == nil {
 		return
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.ring, j.head, j.n = nil, 0, 0
-	if n > 0 {
-		j.ring = make([]Entry, n)
-	}
+	j.ring, j.head, j.size = nil, 0, max(n, 0)
 }
 
 // WriteHeader writes p as is, with no sequence number and no tail entry: a
@@ -184,12 +185,13 @@ func (j *Journal) Append(render func(seq int64) ([]byte, error)) error {
 		return err
 	}
 	j.seq++
-	if len(j.ring) > 0 {
-		j.ring[(j.head+j.n)%len(j.ring)] = Entry{Seq: j.seq, Line: string(line)}
-		if j.n < len(j.ring) {
-			j.n++
+	if j.size > 0 {
+		e := Entry{Seq: j.seq, Line: string(line)}
+		if len(j.ring) < j.size {
+			j.ring = append(j.ring, e)
 		} else {
-			j.head = (j.head + 1) % len(j.ring)
+			j.ring[j.head] = e
+			j.head = (j.head + 1) % j.size
 		}
 	}
 	if j.w != nil {
@@ -208,7 +210,7 @@ func (j *Journal) Since(since int64) ([]Entry, int64) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	var out []Entry
-	for i := 0; i < j.n; i++ {
+	for i := range j.ring {
 		if e := j.ring[(j.head+i)%len(j.ring)]; e.Seq > since {
 			out = append(out, e)
 		}

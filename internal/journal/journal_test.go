@@ -114,6 +114,53 @@ func TestAppendSuffixAndTail(t *testing.T) {
 	}
 }
 
+// TestTailGrowsThenWraps: a tail holds nothing until records arrive, grows
+// with them up to its size, then wraps, and Since answers exactly the
+// newest size records above since at every step: below, at and past the
+// growth boundary, and over two wraparounds. KeepTail(0) after appends
+// releases the tail and keeps the seq.
+func TestTailGrowsThenWraps(t *testing.T) {
+	big := New(nil)
+	big.KeepTail(TailSize)
+	big.Append(record("a"))
+	if c := cap(big.ring); c >= TailSize {
+		t.Fatalf("one record reserved %d tail entries, want it to grow on demand", c)
+	}
+
+	const size = 4
+	j := New(nil)
+	j.KeepTail(size)
+	for n := int64(0); n <= 3*size; n++ {
+		if n > 0 {
+			j.Append(record(fmt.Sprint(n)))
+		}
+		for since := int64(0); since <= n; since++ {
+			tail, head := j.Since(since)
+			first := max(since, n-size) + 1
+			if head != n || int64(len(tail)) != n-first+1 {
+				t.Fatalf("after %d records, Since(%d) = %d entries at head %d, want seqs %d..%d", n, since, len(tail), head, first, n)
+			}
+			for i, e := range tail {
+				if want := first + int64(i); e.Seq != want || e.Line != fmt.Sprintf(`{"seq":%d,"p":"%d"}`, want, want) {
+					t.Fatalf("after %d records, Since(%d)[%d] = %+v, want seq %d", n, since, i, e, want)
+				}
+			}
+		}
+	}
+	if len(j.ring) != size {
+		t.Fatalf("tail holds %d entries, want %d", len(j.ring), size)
+	}
+
+	j.KeepTail(0)
+	if tail, head := j.Since(0); tail != nil || head != 3*size || j.ring != nil {
+		t.Fatalf("released tail: Since(0) = %+v at head %d, want nothing at %d", tail, head, 3*size)
+	}
+	j.Append(record("after"))
+	if tail, head := j.Since(0); tail != nil || head != 3*size+1 {
+		t.Fatalf("append after release: Since(0) = %+v at head %d, want nothing at %d", tail, head, 3*size+1)
+	}
+}
+
 type failWriter struct{ n int }
 
 func (w *failWriter) Write(p []byte) (int, error) {

@@ -152,7 +152,11 @@ func JSONError(w http.ResponseWriter, code int, msg string) {
 // Body and header come from one locked read, so no line is past its
 // header, and a client that passes the header back as since never reads a
 // line twice; a first seq above since+1 means the tail dropped the lines in
-// between. A nil journal serves an empty tail at seq 0.
+// between. A nil journal serves an empty tail at seq 0, and a released one
+// (journal.KeepTail(0)) an empty tail at its head seq: to the client, every
+// line past since was dropped. dce-serve releases the tails of all but the
+// newest 8 finished jobs that ran, so an older job's /events and /timeline
+// answer 200 with an empty body and the job's last seq.
 func ServeTail(w http.ResponseWriter, r *http.Request, j *journal.Journal) {
 	var since int64
 	if v := r.URL.Query().Get("since"); v != "" {

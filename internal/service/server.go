@@ -8,12 +8,19 @@
 //	POST /jobs/{id}/cancel  cancel a queued job / stop a running one
 //	GET  /jobs/{id}/events  the job's event-log tail (?since=N resumes)
 //	GET  /jobs/{id}/timeline  the job's span-timeline tail (?since=N resumes)
-//	GET  /jobs/{id}/progress  the job's live progress (monitor /progress shape)
+//	GET  /jobs/{id}/progress  the job's progress (monitor /progress shape)
 //	GET  /jobs/{id}/findings  findings discovered so far
 //	GET  /jobs/{id}/report  the finished job's campaign report (text)
 //	GET  /jobs/{id}/remarks  the finished job's remark summary (JSON)
 //	GET  /healthz           ok | degraded (queue full) | draining
 //	GET  /metrics           service registry (Prometheus text, ?format=json)
+//
+// Every job stays queryable for the life of the server, but a finished job
+// keeps only what these routes serve. Its /progress is the view rendered
+// as it ended, so elapsed time and rates stop moving. Only the newest 8
+// finished jobs that ran keep their event and span tails; an older job's
+// /events and /timeline answer 200 with an empty body and its head seq in
+// X-Dcelens-Last-Seq, which the ?since=N contract reads as dropped lines.
 //
 // Method gating rides the Go 1.22 ServeMux method patterns: a PUT against
 // a GET-only route gets the mux's own 405 with an Allow header, matching
@@ -137,15 +144,13 @@ func (s *Server) handleTimeline(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleProgress serves the live view of one job's current attempt, the
-// same harness.View the monitor's /progress serves, so a dashboard pointed
-// at either surface reads the same shape.
+// handleProgress serves one job's view (Job.View), the same harness.View
+// the monitor's /progress serves, so a dashboard pointed at either surface
+// reads the same shape.
 func (s *Server) handleProgress(w http.ResponseWriter, r *http.Request) {
-	j, ok := s.job(w, r)
-	if !ok {
-		return
+	if j, ok := s.job(w, r); ok {
+		monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, j.View())
 	}
-	monitor.WriteJSON(w, s.Engine.Metrics(), http.StatusOK, j.Progress().View(j.Registry().Snapshot()))
 }
 
 func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
@@ -153,7 +158,7 @@ func (s *Server) handleFindings(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fs := j.Progress().Findings()
+	fs := j.Findings()
 	if fs == nil {
 		fs = []any{}
 	}

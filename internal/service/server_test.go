@@ -3,14 +3,19 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"dcelens/internal/harness"
+	"dcelens/internal/journal"
 	"dcelens/internal/metrics"
 	"dcelens/internal/monitor"
 	"dcelens/internal/span"
@@ -360,6 +365,12 @@ func TestHTTPProgressAndTimeline(t *testing.T) {
 	if pr.Code != http.StatusOK {
 		t.Fatalf("progress = %d (%s)", pr.Code, pr.Body.String())
 	}
+	// A done job's view was rendered as it ended: its elapsed time and
+	// rates no longer move.
+	time.Sleep(5 * time.Millisecond)
+	if again := do(t, s, http.MethodGet, "/jobs/job-1/progress", ""); again.Body.String() != pr.Body.String() {
+		t.Fatalf("a done job's progress moved:\n%s\nthen\n%s", pr.Body.String(), again.Body.String())
+	}
 	decodeBody(t, pr, &prog)
 	if prog.SeedsTotal != 2 || prog.SeedsDone != 2 || prog.Units == 0 {
 		t.Fatalf("progress = %+v, want 2/2 seeds with units counted", prog)
@@ -401,6 +412,153 @@ func TestHTTPProgressAndTimeline(t *testing.T) {
 	if missing := do(t, s, http.MethodGet, "/jobs/nope/progress", ""); missing.Code != http.StatusNotFound {
 		t.Fatalf("unknown job progress = %d, want 404", missing.Code)
 	}
+}
+
+// TestFinishedJobRetention: a finished job keeps what its endpoints serve
+// and nothing else. Of fourteen jobs that run and one cancelled while
+// queued, only the newest keptTails that ran keep their event and span
+// tails; an older job's /events and /timeline answer an empty tail at its
+// head seq, and its other endpoints answer what they answered as it ended.
+// A poller reads every job's endpoints meanwhile, so the race detector sees
+// eviction run beside the handlers.
+func TestFinishedJobRetention(t *testing.T) {
+	s, e := newTestServer(t, Limits{Executors: 1, WorkDir: t.TempDir()}, true)
+	routes := []string{"", "/report", "/findings", "/remarks", "/progress", "/events?since=0", "/timeline?since=0"}
+
+	var mu sync.Mutex
+	var ids []string
+	stop := make(chan struct{})
+	var poller sync.WaitGroup
+	poller.Add(1)
+	go func() {
+		defer poller.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			case <-time.After(time.Millisecond):
+			}
+			mu.Lock()
+			known := ids
+			mu.Unlock()
+			for _, id := range known {
+				for _, route := range routes {
+					if rec := do(t, s, http.MethodGet, "/jobs/"+id+route, ""); rec.Code != http.StatusOK && rec.Code != http.StatusConflict {
+						t.Errorf("GET /jobs/%s%s = %d (%s)", id, route, rec.Code, rec.Body.String())
+					}
+				}
+			}
+		}
+	}()
+
+	submit := func(spec Spec) *Job {
+		t.Helper()
+		j, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		ids = append(ids, j.ID)
+		mu.Unlock()
+		return j
+	}
+	type ended struct {
+		id            string
+		events, spans int64 // head seqs
+		bodies        []string
+	}
+	var ran []ended // in the order the jobs ended
+	record := func(j *Job) {
+		t.Helper()
+		waitTerminal(t, j)
+		r := ended{id: j.ID}
+		_, r.events = j.Events().Journal().Since(math.MaxInt64)
+		_, r.spans = j.Spans().Journal().Since(math.MaxInt64)
+		for _, route := range routes[:5] {
+			r.bodies = append(r.bodies, do(t, s, http.MethodGet, "/jobs/"+j.ID+route, "").Body.String())
+		}
+		ran = append(ran, r)
+	}
+	sweep := func(i int) Spec {
+		return Spec{Programs: 2, BaseSeed: int64(10 * i), Personalities: []string{"gcc", "llvm"}, Levels: []string{"O3"}, Remarks: true}
+	}
+
+	for i := 1; i <= 10; i++ {
+		record(submit(sweep(i)))
+	}
+	// A job cancelled while queued behind a running one, which is then
+	// cancelled too.
+	long := submit(fastSpec(40))
+	for deadline := time.Now().Add(30 * time.Second); long.Status().SeedsDone == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no seed completed before the cancel")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	queued := submit(sweep(11))
+	if j, _ := e.Cancel(queued.ID); j.State() != StateCancelled {
+		t.Fatalf("queued job after cancel = %s, want cancelled", j.State())
+	}
+	e.Cancel(long.ID)
+	record(long)
+	for i := 12; i <= 14; i++ {
+		record(submit(sweep(i)))
+	}
+	e.Drain() // every ended job has been retired
+	close(stop)
+	poller.Wait()
+
+	if len(e.tailed) != keptTails {
+		t.Fatalf("%d finished jobs keep tails, want %d", len(e.tailed), keptTails)
+	}
+	oldest := len(ran) - keptTails
+	for k, r := range ran {
+		j, _ := e.Job(r.id)
+		j.mu.Lock()
+		if j.cp != nil || j.reg != nil || j.progress != nil {
+			t.Errorf("%s still holds its checkpoint, registry or progress", r.id)
+		}
+		j.mu.Unlock()
+		kept := k >= oldest
+		if kept && e.tailed[k-oldest] != j {
+			t.Errorf("tails kept for %s, want %s", e.tailed[k-oldest].ID, r.id)
+		}
+		for i, head := range []int64{r.events, r.spans} {
+			route := routes[5+i]
+			rec := do(t, s, http.MethodGet, "/jobs/"+r.id+route, "")
+			if rec.Code != http.StatusOK || rec.Header().Get("X-Dcelens-Last-Seq") != strconv.FormatInt(head, 10) {
+				t.Errorf("%s%s = %d at seq %s, want 200 at %d", r.id, route, rec.Code, rec.Header().Get("X-Dcelens-Last-Seq"), head)
+			}
+			if kept == (rec.Body.Len() == 0) {
+				t.Errorf("%s%s: %d bytes of tail, kept %v", r.id, route, rec.Body.Len(), kept)
+			}
+		}
+		for i, route := range routes[:5] {
+			if got := do(t, s, http.MethodGet, "/jobs/"+r.id+route, "").Body.String(); got != r.bodies[i] {
+				t.Errorf("/jobs/%s%s changed after the job ended:\n%s\nthen\n%s", r.id, route, r.bodies[i], got)
+			}
+		}
+	}
+	for _, jl := range []*journal.Journal{queued.Events().Journal(), queued.Spans().Journal()} {
+		if tail, head := jl.Since(0); tail != nil || head != 0 {
+			t.Errorf("job cancelled while queued holds a tail: %d entries at seq %d", len(tail), head)
+		}
+	}
+
+	// What an evicted job still holds: the heap a collection frees once the
+	// engine forgets it.
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e.mu.Lock()
+	for _, r := range ran[:oldest] {
+		delete(e.jobs, r.id)
+	}
+	e.mu.Unlock()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	t.Logf("heap retained per finished job beyond the newest %d: %.1f KiB (mean of %d)",
+		keptTails, float64(int64(before.HeapAlloc)-int64(after.HeapAlloc))/1024/float64(oldest), oldest)
 }
 
 // jsonKeys returns the top-level keys of a JSON object body, in the order

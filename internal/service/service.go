@@ -214,10 +214,18 @@ type Engine struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string
+	tailed   []*Job // the newest finished jobs that ran, oldest first: only they keep their tails
 	draining bool
 	nextID   int
 	started  bool
 }
+
+// keptTails is how many finished jobs keep their event and span tails. It
+// is more than the number of jobs that can finish between a client seeing
+// its job done and reading its tails: dcebench reads them within one 50 ms
+// poll, and the service tests read a job's tails after at most three more
+// jobs have finished.
+const keptTails = 8
 
 // New builds an engine with the given limits (zero values filled with
 // defaults). Call Start before submitting.
@@ -455,6 +463,7 @@ func (e *Engine) runJob(j *Job) {
 		}
 		return
 	}
+	defer e.retire(j)
 	j.startClock()
 	backoff := e.limits.Backoff
 	for attempt := 1; ; attempt++ {
@@ -482,6 +491,24 @@ func (e *Engine) runJob(j *Job) {
 	}
 }
 
+// retire files a job that ran and has ended among the newest finished
+// jobs, the only ones that keep their tails, and releases the tails of
+// the oldest once there are more than keptTails.
+func (e *Engine) retire(j *Job) {
+	e.mu.Lock()
+	e.tailed = append(e.tailed, j)
+	var old *Job
+	if len(e.tailed) > keptTails {
+		old = e.tailed[0]
+		e.tailed = append(e.tailed[:0], e.tailed[1:]...)
+	}
+	e.mu.Unlock()
+	if old != nil {
+		old.events.Journal().KeepTail(0)
+		old.spans.Journal().KeepTail(0)
+	}
+}
+
 // settle classifies a completed (error-free) campaign run: fully done,
 // drained part-way, or out of wall budget.
 func (e *Engine) settle(j *Job, c *corpus.Campaign) {
@@ -504,22 +531,25 @@ func (e *Engine) settle(j *Job, c *corpus.Campaign) {
 
 // Job is one admitted campaign. Fields under mu change as the job moves
 // through its lifecycle; the identity fields (ID, Spec) are immutable
-// after Submit.
+// after Submit. Once a job that ran ends, release leaves only what its
+// endpoints serve.
 type Job struct {
 	ID   string
 	Spec Spec
 
-	events *metrics.EventLog   // shared across attempts: one resumable seq stream
-	spans  *span.Recorder      // shared across attempts: one resumable timeline
-	cp     *harness.Checkpoint // shared across attempts: the retry source
+	events *metrics.EventLog // shared across attempts: one resumable seq stream
+	spans  *span.Recorder    // shared across attempts: one resumable timeline
 
 	mu        sync.Mutex
 	state     State
 	attempt   int
 	stopReq   bool
 	deadline  time.Time
-	reg       *metrics.Registry // fresh per attempt (restored counts stay truthful)
+	cp        *harness.Checkpoint // shared across attempts: the retry source
+	reg       *metrics.Registry   // fresh per attempt (restored counts stay truthful)
 	progress  *harness.Progress
+	final     *harness.View // the /progress view rendered as the job ended
+	findings  []any         // every finding, kept once the job has ended
 	skipped   int
 	lastErr   string
 	report    string
@@ -564,20 +594,37 @@ func (j *Job) Events() *metrics.EventLog { return j.events }
 // Spans is the job's span timeline (its tail backs /jobs/{id}/timeline).
 func (j *Job) Spans() *span.Recorder { return j.spans }
 
-// Progress is the live view of the current attempt (nil before the first).
-func (j *Job) Progress() *harness.Progress {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.progress
-}
-
 // Registry is the current attempt's campaign registry (nil before the
-// first attempt). Deterministic, so the job's history snapshot is
-// byte-stable.
+// first attempt and once the job has ended). Deterministic, so the job's
+// history snapshot is byte-stable.
 func (j *Job) Registry() *metrics.Registry {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.reg
+}
+
+// View is the job's /progress body: the live view while it runs, and once
+// it has ended the view rendered as it ended, so its elapsed time and
+// rates stop moving.
+func (j *Job) View() harness.View {
+	j.mu.Lock()
+	final, p, reg := j.final, j.progress, j.reg
+	j.mu.Unlock()
+	if final != nil {
+		return *final
+	}
+	return p.View(reg.Snapshot())
+}
+
+// Findings returns the findings discovered so far: all of them once the
+// job has ended.
+func (j *Job) Findings() []any {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.final != nil {
+		return j.findings
+	}
+	return j.progress.Findings()
 }
 
 // Report returns the final campaign report; ok is false until StateDone.
@@ -620,13 +667,17 @@ type Status struct {
 func (j *Job) Status() Status {
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	done, findings := j.progress.Done(), j.progress.FindingCount()
+	if j.final != nil {
+		done, findings = j.final.SeedsDone, j.final.Findings
+	}
 	s := Status{
 		ID:         j.ID,
 		State:      j.state,
 		Attempt:    j.attempt,
 		SeedsTotal: j.Spec.Programs,
-		SeedsDone:  j.progress.Done(),
-		Findings:   j.progress.FindingCount(),
+		SeedsDone:  done,
+		Findings:   findings,
 		Skipped:    j.skipped,
 		Error:      j.lastErr,
 		Checkpoint: j.checkpath,
@@ -740,6 +791,7 @@ func (j *Job) complete(e *Engine, c *corpus.Campaign) {
 	j.remarkSum = c.Stats.Remarks
 	j.snapshot = snap
 	j.snapPath = path
+	j.release()
 	j.mu.Unlock()
 }
 
@@ -752,11 +804,24 @@ func (j *Job) RemarkSummary() (*corpus.RemarkSummary, bool) {
 	return j.remarkSum, j.state == StateDone
 }
 
+// finish ends a job that ran.
 func (j *Job) finish(s State, msg string) {
 	j.mu.Lock()
 	j.state = s
 	j.lastErr = msg
+	j.release()
 	j.mu.Unlock()
+}
+
+// release renders the ended job's /progress view and keeps its findings,
+// then drops the rest of its last attempt: the checkpoint (a WorkDir file
+// stays on disk), the registry and the live progress. It runs under j.mu
+// with the change to the terminal state, so no reader sees an ended job's
+// view move.
+func (j *Job) release() {
+	v := j.progress.View(j.reg.Snapshot())
+	j.final, j.findings = &v, j.progress.Findings()
+	j.cp, j.reg, j.progress = nil, nil, nil
 }
 
 func (j *Job) setState(s State) {

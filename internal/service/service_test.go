@@ -248,7 +248,7 @@ func TestDrainMidJobAndResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Let at least one seed land, then pull the plug.
-	for deadline := time.Now().Add(30 * time.Second); j.Progress().Done() == 0; {
+	for deadline := time.Now().Add(30 * time.Second); j.Status().SeedsDone == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no seed completed before the drain")
 		}
@@ -321,7 +321,7 @@ func TestCancelRunningJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for deadline := time.Now().Add(30 * time.Second); j.Progress().Done() == 0; {
+	for deadline := time.Now().Add(30 * time.Second); j.Status().SeedsDone == 0; {
 		if time.Now().After(deadline) {
 			t.Fatal("no seed completed before the cancel")
 		}
