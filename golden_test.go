@@ -19,11 +19,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"dcelens/internal/corpus"
+	"dcelens/internal/pipeline"
 	"dcelens/internal/span"
 )
 
@@ -109,5 +112,71 @@ func TestGoldenCampaign(t *testing.T) {
 		if body != string(want) {
 			t.Errorf("%s differs from the recorded golden:\n--- want\n%s\n--- got\n%s", name, want, body)
 		}
+	}
+}
+
+// goldenUnitSeeds is how many seeds, from 1, testdata/golden/units.sha256
+// covers: each seed's units under the ten default configurations.
+const goldenUnitSeeds = 200
+
+// TestGoldenUnits pins the assembly of every unit of seeds 1–200 under the
+// ten default configurations, compiled as a campaign compiles them: by
+// corpus.Run, through each seed's compile trie. testdata/golden/units.sha256
+// holds one line per unit, "seed personality level sha256(asm)", so a
+// change that renumbers values or moves an instruction names each unit it
+// touched. A change that means to alter the assembly re-records the file
+// with -update in a commit of its own.
+func TestGoldenUnits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles 2,000 units")
+	}
+	var got strings.Builder
+	// Twenty seeds a campaign, so that only one batch of results is live.
+	const batch = 20
+	for base := int64(1); base <= goldenUnitSeeds; base += batch {
+		c, err := corpus.Run(corpus.Options{Programs: batch, BaseSeed: base})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range c.Programs {
+			if p.Err != nil || len(p.Failures) > 0 {
+				t.Fatalf("seed %d: %v %v", p.Seed, p.Err, p.Failures)
+			}
+			for _, pers := range []pipeline.Personality{pipeline.GCC, pipeline.LLVM} {
+				for _, lvl := range pipeline.Levels {
+					a := p.PerCfg[corpus.ConfigKey{Personality: pers, Level: lvl}]
+					sum := sha256.Sum256([]byte(a.Compilation.Asm))
+					fmt.Fprintf(&got, "%d %s %s %x\n", p.Seed, pers, lvl, sum)
+				}
+			}
+		}
+	}
+	path := filepath.Join("testdata", "golden", "units.sha256")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (record with -update)", err)
+	}
+	wantLines := strings.Split(string(want), "\n")
+	gotLines := strings.Split(got.String(), "\n")
+	if len(wantLines) != len(gotLines) {
+		t.Fatalf("%s has %d lines, the build computes %d", path, len(wantLines), len(gotLines))
+	}
+	differ := 0
+	for i := range gotLines {
+		if gotLines[i] != wantLines[i] {
+			if differ < 10 {
+				t.Errorf("unit differs from %s:\n got: %s\nwant: %s", path, gotLines[i], wantLines[i])
+			}
+			differ++
+		}
+	}
+	if differ > 0 {
+		t.Errorf("%d of %d units differ from %s", differ, len(gotLines)-1, path)
 	}
 }
