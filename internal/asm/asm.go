@@ -144,10 +144,10 @@ func appendInstr(out []byte, fn string, in *ir.Instr, next *ir.Block) []byte {
 		out = append(append(append(out, "\tlea "...), in.Global.Name...), "(%rip), "...)
 		out = appendReg(out, in)
 	case ir.OpParam:
-		out = appendParamReg(append(out, "\tmov "...), in.ParamIdx)
+		out = appendParamReg(append(out, "\tmov "...), int(in.IntVal))
 		out = appendReg(append(out, ", "...), in)
 	case ir.OpAlloca:
-		out = strconv.AppendInt(append(out, "\tlea -"...), int64(8*(in.ID+1)), 10)
+		out = strconv.AppendInt(append(out, "\tlea -"...), 8*(int64(in.ID)+1), 10)
 		out = appendReg(append(out, "(%rbp), "...), in)
 	case ir.OpPhi:
 		// Phis are resolved by the (virtual) register copies implied on
@@ -189,15 +189,15 @@ func appendInstr(out []byte, fn string, in *ir.Instr, next *ir.Block) []byte {
 		out = append(out, "\tret"...)
 	case ir.OpBr:
 		// Fallthrough elision when the target is the next emitted block.
-		if in.Targets[0] == next {
+		if in.Edges[0] == next {
 			return out
 		}
-		out = appendLabel(append(out, "\tjmp "...), fn, in.Targets[0])
+		out = appendLabel(append(out, "\tjmp "...), fn, in.Edges[0])
 	case ir.OpCondBr:
 		out = append(appendOp(out, "test", in.Args[0], in.Args[0]), '\n')
-		out = appendLabel(append(out, "\tjnz "...), fn, in.Targets[0])
-		if in.Targets[1] != next {
-			out = appendLabel(append(out, "\n\tjmp "...), fn, in.Targets[1])
+		out = appendLabel(append(out, "\tjnz "...), fn, in.Edges[0])
+		if in.Edges[1] != next {
+			out = appendLabel(append(out, "\n\tjmp "...), fn, in.Edges[1])
 		}
 	default:
 		return out

@@ -87,7 +87,7 @@ func refInstr(sb *strings.Builder, in *ir.Instr, label func(*ir.Block) string, f
 	case ir.OpGlobalAddr:
 		fmt.Fprintf(sb, "\tlea %s(%%rip), %s\n", in.Global.Name, refReg(in))
 	case ir.OpParam:
-		fmt.Fprintf(sb, "\tmov %s, %s\n", refParamReg(in.ParamIdx), refReg(in))
+		fmt.Fprintf(sb, "\tmov %s, %s\n", refParamReg(int(in.IntVal)), refReg(in))
 	case ir.OpAlloca:
 		fmt.Fprintf(sb, "\tlea -%d(%%rbp), %s\n", 8*(in.ID+1), refReg(in))
 	case ir.OpPhi:
@@ -120,14 +120,14 @@ func refInstr(sb *strings.Builder, in *ir.Instr, label func(*ir.Block) string, f
 		}
 		fmt.Fprintf(sb, "\tret\n")
 	case ir.OpBr:
-		if !fallsTo(in.Targets[0]) {
-			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Targets[0]))
+		if !fallsTo(in.Edges[0]) {
+			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Edges[0]))
 		}
 	case ir.OpCondBr:
 		fmt.Fprintf(sb, "\ttest %s, %s\n", refReg(in.Args[0]), refReg(in.Args[0]))
-		fmt.Fprintf(sb, "\tjnz %s\n", label(in.Targets[0]))
-		if !fallsTo(in.Targets[1]) {
-			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Targets[1]))
+		fmt.Fprintf(sb, "\tjnz %s\n", label(in.Edges[0]))
+		if !fallsTo(in.Edges[1]) {
+			fmt.Fprintf(sb, "\tjmp %s\n", label(in.Edges[1]))
 		}
 	}
 }

@@ -91,7 +91,7 @@ func (c *bodyCloner) clone(f, nf *Func) {
 	for _, b := range f.Blocks {
 		nb = max(nb, b.ID+1)
 		for _, in := range b.Instrs {
-			nv = max(nv, in.ID+1)
+			nv = max(nv, int(in.ID)+1)
 		}
 	}
 	c.f = f
@@ -125,8 +125,7 @@ func (c *bodyCloner) clone(f, nf *Func) {
 			in.Block = c.block(in.Block)
 			in.Global = remap(c.globals, in.Global)
 			in.Callee = remap(c.funcs, in.Callee)
-			in.Targets = cloneSlice(in.Targets, c.block)
-			in.PhiPreds = cloneSlice(in.PhiPreds, c.block)
+			in.Edges = cloneSlice(in.Edges, c.block)
 		}
 	}
 }

@@ -83,8 +83,7 @@ func cloneMismatch(m, c *ir.Module) string {
 				switch {
 				case shared(ci) || ci.Block != cb:
 					return fmt.Sprintf("%s v%d identity", f.Name, in.ID)
-				case ci.ID != in.ID || sliceShape(in.Args) != sliceShape(ci.Args) ||
-					sliceShape(in.Targets) != sliceShape(ci.Targets) || sliceShape(in.PhiPreds) != sliceShape(ci.PhiPreds):
+				case ci.ID != in.ID || sliceShape(in.Args) != sliceShape(ci.Args) || sliceShape(in.Edges) != sliceShape(ci.Edges):
 					return fmt.Sprintf("%s v%d shape", f.Name, in.ID)
 				case in.Global != nil && shared(ci.Global), in.Callee != nil && shared(ci.Callee):
 					return fmt.Sprintf("%s v%d global or callee shared", f.Name, in.ID)
@@ -94,9 +93,9 @@ func cloneMismatch(m, c *ir.Module) string {
 						return fmt.Sprintf("%s v%d argument shared", f.Name, in.ID)
 					}
 				}
-				for _, t := range append(append([]*ir.Block(nil), ci.Targets...), ci.PhiPreds...) {
-					if shared(t) {
-						return fmt.Sprintf("%s v%d target shared", f.Name, in.ID)
+				for _, e := range ci.Edges {
+					if shared(e) {
+						return fmt.Sprintf("%s v%d edge shared", f.Name, in.ID)
 					}
 				}
 			}

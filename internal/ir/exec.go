@@ -222,7 +222,7 @@ func (ex *executor) call(f *Func, args []execVal) (execVal, error) {
 			}
 			nphi++
 			found := false
-			for i, pb := range in.PhiPreds {
+			for i, pb := range in.Edges {
 				if pb == prev {
 					phiVals = append(phiVals, vals[in.Args[i].ID])
 					found = true
@@ -251,9 +251,9 @@ func (ex *executor) call(f *Func, args []execVal) (execVal, error) {
 			case OpGlobalAddr:
 				vals[in.ID] = ePtr(ex.globals[in.Global], 0)
 			case OpParam:
-				vals[in.ID] = args[in.ParamIdx]
+				vals[in.ID] = args[in.IntVal]
 			case OpAlloca:
-				o := ex.newObj(in.Count)
+				o := ex.newObj(int(in.IntVal))
 				if in.Typ.Elem.Kind == types.Pointer {
 					for i := range o.vals {
 						o.vals[i] = execVal{IsPtr: true}
@@ -315,13 +315,13 @@ func (ex *executor) call(f *Func, args []execVal) (execVal, error) {
 				}
 				return eInt(0), nil
 			case OpBr:
-				prev, cur = cur, in.Targets[0]
+				prev, cur = cur, in.Edges[0]
 				advanced = true
 			case OpCondBr:
 				if vals[in.Args[0].ID].truthy() {
-					prev, cur = cur, in.Targets[0]
+					prev, cur = cur, in.Edges[0]
 				} else {
-					prev, cur = cur, in.Targets[1]
+					prev, cur = cur, in.Edges[1]
 				}
 				advanced = true
 			default:

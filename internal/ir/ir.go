@@ -18,18 +18,19 @@ import (
 	"dcelens/internal/types"
 )
 
-// Op enumerates instruction kinds.
-type Op int
+// Op enumerates instruction kinds. It is a byte so that it shares Instr's
+// first word with the operator, the Widened flag and the ID.
+type Op uint8
 
 const (
 	OpInvalid Op = iota
 
 	// Pure value producers.
-	OpConst      // integer constant (IntVal, Typ)
+	OpConst      // integer constant IntVal of type Typ
 	OpNull       // null pointer constant (Typ is the pointer type)
 	OpGlobalAddr // address of Global (Typ = *elem)
-	OpParam      // function parameter ParamIdx
-	OpPhi        // SSA phi; Args parallel to PhiPreds
+	OpParam      // function parameter number IntVal
+	OpPhi        // SSA phi; Args[i] flows in from Edges[i]
 	OpBin        // binary operation BinOp on Args[0], Args[1]
 	OpCast       // integer conversion to Typ of Args[0]
 	OpGEP        // pointer arithmetic: Args[0] (pointer) + Args[1] (i64 elements)
@@ -37,7 +38,7 @@ const (
 	OpFreeze     // identity on Args[0], opaque to every analysis (LLVM's freeze)
 
 	// Memory.
-	OpAlloca // stack slot of Count elements of Typ.Elem; Typ = *elem
+	OpAlloca // stack slot of IntVal elements of Typ.Elem; Typ = *elem
 	OpLoad   // load Typ from address Args[0]
 	OpStore  // store Args[1] to address Args[0]; no result
 
@@ -46,8 +47,8 @@ const (
 
 	// Terminators.
 	OpRet    // return Args[0] (optional)
-	OpBr     // jump to Targets[0]
-	OpCondBr // if Args[0] != 0 goto Targets[0] else Targets[1]
+	OpBr     // jump to Edges[0]
+	OpCondBr // if Args[0] != 0 goto Edges[0] else Edges[1]
 )
 
 var opNames = map[Op]string{
@@ -202,37 +203,44 @@ func (b *Block) Succs() []*Block {
 	if t == nil {
 		return nil
 	}
-	return t.Targets
+	return t.Edges
 }
 
 // Instr is an SSA instruction; it doubles as the SSA value it produces.
+//
+// Its 96 bytes are a Go size class, and a module holds hundreds of
+// thousands of instructions, so every field earns its word: the op, the
+// operator, the Widened flag and the ID share the first one, and each
+// payload field serves several ops. IntVal is OpConst's value, OpParam's
+// parameter number and OpAlloca's element count; no other op reads it.
+// Edges lists the blocks at the other end of the CFG edges the
+// instruction names: OpBr's target, OpCondBr's true and false targets, or
+// the block each of an OpPhi's Args flows in from. No other op has any.
 type Instr struct {
 	Op    Op
-	ID    int
-	Typ   *types.Type // result type; nil for void (store, br, ret)
-	Args  []*Instr
-	Block *Block
-
-	// Op-specific payload.
-	IntVal   int64      // OpConst
-	Global   *Global    // OpGlobalAddr
-	Callee   *Func      // OpCall
-	ParamIdx int        // OpParam
-	Count    int        // OpAlloca element count
-	BinOp    token.Kind // OpBin
-	Targets  []*Block   // OpBr, OpCondBr
-	PhiPreds []*Block   // OpPhi: incoming edge for each Arg
+	BinOp token.Kind // OpBin
 
 	// Widened marks a store whose value was re-typed by the store-widening
 	// ("vectorization") pass; widened stores defeat store-to-load
 	// forwarding because the forwarded type no longer matches.
 	Widened bool
+
+	ID    int32
+	Typ   *types.Type // result type; nil for void (store, br, ret)
+	Args  []*Instr
+	Block *Block
+
+	// Op-specific payload.
+	IntVal int64    // OpConst, OpParam, OpAlloca
+	Global *Global  // OpGlobalAddr
+	Callee *Func    // OpCall
+	Edges  []*Block // OpBr, OpCondBr, OpPhi
 }
 
 // NewInstr creates an instruction owned by b's function (not yet inserted).
 func (b *Block) NewInstr(op Op, typ *types.Type, args ...*Instr) *Instr {
 	f := b.Func
-	in := &Instr{Op: op, ID: f.nextValueID, Typ: typ, Args: args, Block: b}
+	in := &Instr{Op: op, ID: int32(f.nextValueID), Typ: typ, Args: args, Block: b}
 	f.nextValueID++
 	return in
 }
@@ -302,7 +310,7 @@ func (in *Instr) IsPure() bool {
 // Edge editing. These helpers keep Preds, terminators, and phi nodes
 // consistent; passes must use them rather than mutating edges by hand.
 
-// AddEdge records an edge from p to s (terminator Targets must already
+// AddEdge records an edge from p to s (the terminator's Edges must already
 // include s, or be added by the caller).
 func AddEdge(p, s *Block) {
 	s.Preds = append(s.Preds, p)
@@ -319,9 +327,9 @@ func RemoveEdge(p, s *Block) {
 				if in.Op != OpPhi {
 					break
 				}
-				for j, pb := range in.PhiPreds {
+				for j, pb := range in.Edges {
 					if pb == p {
-						in.PhiPreds = append(in.PhiPreds[:j], in.PhiPreds[j+1:]...)
+						in.Edges = append(in.Edges[:j], in.Edges[j+1:]...)
 						in.Args = append(in.Args[:j], in.Args[j+1:]...)
 						break
 					}
@@ -339,9 +347,9 @@ func RemoveEdge(p, s *Block) {
 func RedirectEdge(p, from, to *Block) {
 	t := p.Term()
 	done := false
-	for i, tgt := range t.Targets {
+	for i, tgt := range t.Edges {
 		if tgt == from && !done {
-			t.Targets[i] = to
+			t.Edges[i] = to
 			done = true
 		}
 	}
@@ -394,7 +402,7 @@ func (r *Relocator) Add(old, new *Instr) {
 	if n == old {
 		return
 	}
-	if old.ID >= len(r.slots) {
+	if int(old.ID) >= len(r.slots) {
 		r.grow(old)
 	}
 	s := &r.slots[old.ID]
@@ -402,13 +410,13 @@ func (r *Relocator) Add(old, new *Instr) {
 		panic("ir: Relocator: values of two functions share an ID")
 	}
 	s.old, s.new = old, n
-	r.hi = max(r.hi, old.ID+1)
+	r.hi = max(r.hi, int(old.ID)+1)
 }
 
 // grow extends the table to cover v's ID, sized for every value of v's
 // function so that one allocation usually serves a whole pass.
 func (r *Relocator) grow(v *Instr) {
-	n := max(v.ID+1, 2*len(r.slots))
+	n := max(int(v.ID)+1, 2*len(r.slots))
 	if v.Block != nil {
 		n = max(n, v.Block.Func.NumValues())
 	}

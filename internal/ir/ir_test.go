@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"dcelens/internal/types"
 )
@@ -30,10 +31,10 @@ func buildCFG(nblocks int, edges [][2]int) *Func {
 			b.Append(OpRet, nil, z)
 		case 1:
 			br := b.Append(OpBr, nil)
-			br.Targets = []*Block{blocks[succs[i][0]]}
+			br.Edges = []*Block{blocks[succs[i][0]]}
 		default:
 			cb := b.Append(OpCondBr, nil, cond)
-			cb.Targets = []*Block{blocks[succs[i][0]], blocks[succs[i][1]]}
+			cb.Edges = []*Block{blocks[succs[i][0]], blocks[succs[i][1]]}
 		}
 	}
 	f.RecomputePreds()
@@ -194,11 +195,11 @@ func TestVerifyCatchesBrokenSSA(t *testing.T) {
 	b2 := f.NewBlock()
 	cond := b0.Append(OpParam, types.I32Type)
 	cb := b0.Append(OpCondBr, nil, cond)
-	cb.Targets = []*Block{b1, b2}
+	cb.Edges = []*Block{b1, b2}
 	// v defined only on the b1 path...
 	v := b1.Append(OpConst, types.I32Type)
 	br := b1.Append(OpBr, nil)
-	br.Targets = []*Block{b2}
+	br.Edges = []*Block{b2}
 	// ...but used in b2, which is also reachable via b0 directly.
 	b2.Append(OpRet, nil, v)
 	f.RecomputePreds()
@@ -215,9 +216,9 @@ func TestVerifyCatchesPhiMismatch(t *testing.T) {
 	b1 := f.NewBlock()
 	c := b0.Append(OpConst, types.I32Type)
 	br := b0.Append(OpBr, nil)
-	br.Targets = []*Block{b1}
+	br.Edges = []*Block{b1}
 	phi := b1.Append(OpPhi, types.I32Type, c, c) // two entries, one pred
-	phi.PhiPreds = []*Block{b0, b0}
+	phi.Edges = []*Block{b0, b0}
 	b1.Append(OpRet, nil, phi)
 	f.RecomputePreds()
 	if err := Verify(&Module{Funcs: []*Func{f}}); err == nil {
@@ -232,7 +233,7 @@ func TestEdgeEditing(t *testing.T) {
 	v0 := b0.Instrs[0] // the param
 	phi := b2.NewInstr(OpPhi, types.I32Type)
 	phi.Args = []*Instr{v0, v0}
-	phi.PhiPreds = []*Block{b0, b1}
+	phi.Edges = []*Block{b0, b1}
 	b2.Instrs = append([]*Instr{phi}, b2.Instrs...)
 	if err := VerifyFunc(f); err != nil {
 		t.Fatalf("setup invalid: %v", err)
@@ -240,10 +241,10 @@ func TestEdgeEditing(t *testing.T) {
 	// Remove the edge b1 -> b2: the phi must shrink.
 	t1 := b1.Term()
 	t1.Op = OpRet
-	t1.Targets = nil
+	t1.Edges = nil
 	RemoveEdge(b1, b2)
-	if len(phi.Args) != 1 || phi.PhiPreds[0] != b0 {
-		t.Fatalf("RemoveEdge did not trim the phi: %v", phi.PhiPreds)
+	if len(phi.Args) != 1 || phi.Edges[0] != b0 {
+		t.Fatalf("RemoveEdge did not trim the phi: %v", phi.Edges)
 	}
 	if err := VerifyFunc(f); err != nil {
 		t.Fatalf("after RemoveEdge: %v", err)
@@ -263,5 +264,15 @@ func TestReplaceAllUsesAndCount(t *testing.T) {
 	ReplaceAllUses(a, c)
 	if CountUses(a) != 0 || CountUses(c) != 2 {
 		t.Fatal("ReplaceAllUses failed")
+	}
+}
+
+// TestInstrSize pins the instruction layout at 96 bytes, a Go size class.
+// A module holds hundreds of thousands of instructions and every compile
+// trie clone copies them, so a field that pushes the struct past 96 bytes
+// costs each of them the next size class, 112 bytes.
+func TestInstrSize(t *testing.T) {
+	if got := unsafe.Sizeof(Instr{}); got != 96 {
+		t.Fatalf("ir.Instr is %d bytes, want 96: the next size class is 112 bytes, so a new field must share a word an existing field already uses", got)
 	}
 }

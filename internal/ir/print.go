@@ -108,11 +108,11 @@ func (in *Instr) String() string {
 	case OpGlobalAddr:
 		return fmt.Sprintf("%saddr @%s", res, in.Global.Name)
 	case OpParam:
-		return fmt.Sprintf("%sparam %d", res, in.ParamIdx)
+		return fmt.Sprintf("%sparam %d", res, in.IntVal)
 	case OpPhi:
 		parts := make([]string, len(in.Args))
 		for i := range in.Args {
-			parts[i] = fmt.Sprintf("[%s, b%d]", arg(i), in.PhiPreds[i].ID)
+			parts[i] = fmt.Sprintf("[%s, b%d]", arg(i), in.Edges[i].ID)
 		}
 		return res + "phi " + strings.Join(parts, " ")
 	case OpBin:
@@ -126,7 +126,7 @@ func (in *Instr) String() string {
 	case OpFreeze:
 		return fmt.Sprintf("%sfreeze %s", res, arg(0))
 	case OpAlloca:
-		return fmt.Sprintf("%salloca x%d", res, in.Count)
+		return fmt.Sprintf("%salloca x%d", res, in.IntVal)
 	case OpLoad:
 		return fmt.Sprintf("%sload %s", res, arg(0))
 	case OpStore:
@@ -154,9 +154,9 @@ func (in *Instr) String() string {
 		}
 		return "ret"
 	case OpBr:
-		return fmt.Sprintf("br b%d", in.Targets[0].ID)
+		return fmt.Sprintf("br b%d", in.Edges[0].ID)
 	case OpCondBr:
-		return fmt.Sprintf("condbr %s, b%d, b%d", arg(0), in.Targets[0].ID, in.Targets[1].ID)
+		return fmt.Sprintf("condbr %s, b%d, b%d", arg(0), in.Edges[0].ID, in.Edges[1].ID)
 	}
 	return res + in.Op.String()
 }

@@ -81,7 +81,7 @@ func verifyFunc(f *Func) error {
 			continue
 		}
 		for i, in := range b.Instrs {
-			nv = max(nv, in.ID+1)
+			nv = max(nv, int(in.ID)+1)
 			if in.Block != b {
 				bail("b%d: instruction v%d has wrong owner", b.ID, in.ID)
 			}
@@ -90,8 +90,8 @@ func verifyFunc(f *Func) error {
 				bail("b%d: terminator placement wrong at v%d (%v)", b.ID, in.ID, in.Op)
 			}
 			if in.Op == OpPhi {
-				if len(in.Args) != len(in.PhiPreds) {
-					bail("b%d: phi v%d has %d args, %d preds", b.ID, in.ID, len(in.Args), len(in.PhiPreds))
+				if len(in.Args) != len(in.Edges) {
+					bail("b%d: phi v%d has %d args, %d preds", b.ID, in.ID, len(in.Args), len(in.Edges))
 					continue
 				}
 				// Phis must be grouped at the top of the block.
@@ -101,15 +101,16 @@ func verifyFunc(f *Func) error {
 				if len(in.Args) != len(b.Preds) {
 					bail("b%d: phi v%d has %d entries for %d preds", b.ID, in.ID, len(in.Args), len(b.Preds))
 				}
-				for _, pb := range in.PhiPreds {
+				for _, pb := range in.Edges {
 					if !blockListContains(b.Preds, pb) {
 						bail("b%d: phi v%d references non-pred b%d", b.ID, in.ID, pb.ID)
 					}
 				}
-			}
-			for _, t := range in.Targets {
-				if !inFunc(t) {
-					bail("b%d: v%d targets foreign block", b.ID, in.ID)
+			} else {
+				for _, t := range in.Edges {
+					if !inFunc(t) {
+						bail("b%d: v%d targets foreign block", b.ID, in.ID)
+					}
 				}
 			}
 			for _, a := range in.Args {
@@ -193,7 +194,7 @@ func verifyFunc(f *Func) error {
 		for _, in := range b.Instrs {
 			if in.Op == OpPhi {
 				for i, a := range in.Args {
-					pb := in.PhiPreds[i]
+					pb := in.Edges[i]
 					if !dt.Reachable(pb) {
 						continue
 					}

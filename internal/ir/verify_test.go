@@ -19,7 +19,7 @@ func retFunc(name string) *Func {
 // br appends an unconditional branch b -> to.
 func br(b, to *Block) *Instr {
 	t := b.Append(OpBr, nil)
-	t.Targets = []*Block{to}
+	t.Edges = []*Block{to}
 	return t
 }
 
@@ -67,7 +67,7 @@ func TestVerifyDiagnostics(t *testing.T) {
 			c := b0.Append(OpConst, i32)
 			br(b0, b1)
 			phi := b1.Append(OpPhi, i32, c, c)
-			phi.PhiPreds = []*Block{b0}
+			phi.Edges = []*Block{b0}
 			b1.Append(OpRet, nil, phi)
 			f.RecomputePreds()
 			return &Module{Funcs: []*Func{f}}
@@ -79,7 +79,7 @@ func TestVerifyDiagnostics(t *testing.T) {
 			br(b0, b1)
 			b1.Append(OpConst, i32)
 			phi := b1.Append(OpPhi, i32, c)
-			phi.PhiPreds = []*Block{b0}
+			phi.Edges = []*Block{b0}
 			b1.Append(OpRet, nil, phi)
 			f.RecomputePreds()
 			return &Module{Funcs: []*Func{f}}
@@ -90,7 +90,7 @@ func TestVerifyDiagnostics(t *testing.T) {
 			c := b0.Append(OpConst, i32)
 			br(b0, b1)
 			phi := b1.Append(OpPhi, i32, c, c)
-			phi.PhiPreds = []*Block{b0, b0}
+			phi.Edges = []*Block{b0, b0}
 			b1.Append(OpRet, nil, phi)
 			f.RecomputePreds()
 			return &Module{Funcs: []*Func{f}}
@@ -101,7 +101,7 @@ func TestVerifyDiagnostics(t *testing.T) {
 			c := b0.Append(OpConst, i32)
 			br(b0, b1)
 			phi := b1.Append(OpPhi, i32, c)
-			phi.PhiPreds = []*Block{b2}
+			phi.Edges = []*Block{b2}
 			b1.Append(OpRet, nil, phi)
 			b2.Append(OpRet, nil)
 			f.RecomputePreds()
@@ -158,7 +158,7 @@ func TestVerifyDiagnostics(t *testing.T) {
 			// Claims b0 as its block and c's ID, but no block holds it.
 			ghost := &Instr{Op: OpConst, ID: c.ID, Typ: i32, Block: b0}
 			phi := b1.Append(OpPhi, i32, ghost)
-			phi.PhiPreds = []*Block{b0}
+			phi.Edges = []*Block{b0}
 			b1.Append(OpRet, nil, phi)
 			f.RecomputePreds()
 			return &Module{Funcs: []*Func{f}}
@@ -168,12 +168,12 @@ func TestVerifyDiagnostics(t *testing.T) {
 			b0, b1, b2, b3 := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
 			cond := b0.Append(OpParam, i32)
 			cb := b0.Append(OpCondBr, nil, cond)
-			cb.Targets = []*Block{b1, b2}
+			cb.Edges = []*Block{b1, b2}
 			c := b1.Append(OpConst, i32)
 			br(b1, b3)
 			br(b2, b3)
 			phi := b3.Append(OpPhi, i32, c, c)
-			phi.PhiPreds = []*Block{b1, b2}
+			phi.Edges = []*Block{b1, b2}
 			b3.Append(OpRet, nil, phi)
 			f.RecomputePreds()
 			return &Module{Funcs: []*Func{f}}
@@ -200,7 +200,7 @@ func TestVerifyDiagnostics(t *testing.T) {
 			b0, b1, b2 := f.NewBlock(), f.NewBlock(), f.NewBlock()
 			cond := b0.Append(OpParam, i32)
 			cb := b0.Append(OpCondBr, nil, cond)
-			cb.Targets = []*Block{b1, b2}
+			cb.Edges = []*Block{b1, b2}
 			v := b1.Append(OpConst, i32)
 			br(b1, b2)
 			b2.Append(OpRet, nil, v)

@@ -187,15 +187,15 @@ func (fl *fnLowerer) boolValue(e ast.Expr) *ir.Instr {
 
 	fl.cur = tB
 	one := fl.iconst(1, types.I32Type)
-	fl.emit(ir.OpBr, nil).Targets = []*ir.Block{join}
+	fl.emit(ir.OpBr, nil).Edges = []*ir.Block{join}
 
 	fl.cur = fB
 	zero := fl.iconst(0, types.I32Type)
-	fl.emit(ir.OpBr, nil).Targets = []*ir.Block{join}
+	fl.emit(ir.OpBr, nil).Edges = []*ir.Block{join}
 
 	fl.cur = join
 	phi := fl.emit(ir.OpPhi, types.I32Type, one, zero)
-	phi.PhiPreds = []*ir.Block{tB, fB}
+	phi.Edges = []*ir.Block{tB, fB}
 	return phi
 }
 
@@ -208,19 +208,19 @@ func (fl *fnLowerer) ternary(e *ast.Cond) *ir.Instr {
 	fl.cur = tB
 	tv := fl.expr(e.Then)
 	tEnd := fl.cur
-	fl.emit(ir.OpBr, nil).Targets = []*ir.Block{join}
+	fl.emit(ir.OpBr, nil).Edges = []*ir.Block{join}
 
 	fl.cur = fB
 	fv := fl.expr(e.Else)
 	fEnd := fl.cur
-	fl.emit(ir.OpBr, nil).Targets = []*ir.Block{join}
+	fl.emit(ir.OpBr, nil).Edges = []*ir.Block{join}
 
 	fl.cur = join
 	if e.Typ.Kind == types.Void {
 		return nil
 	}
 	phi := fl.emit(ir.OpPhi, e.Typ, tv, fv)
-	phi.PhiPreds = []*ir.Block{tEnd, fEnd}
+	phi.Edges = []*ir.Block{tEnd, fEnd}
 	return phi
 }
 

@@ -55,7 +55,7 @@ func (fl *fnLowerer) run() (err error) {
 	for i, p := range fl.decl.Params {
 		a := fl.alloca(p)
 		pv := fl.entry.Append(ir.OpParam, p.Typ)
-		pv.ParamIdx = i
+		pv.IntVal = int64(i)
 		fl.entry.Append(ir.OpStore, nil, a, pv)
 	}
 
@@ -78,7 +78,7 @@ func (fl *fnLowerer) run() (err error) {
 			fl.cur = saved
 		}
 	}
-	fl.entry.Append(ir.OpBr, nil).Targets = []*ir.Block{body}
+	fl.entry.Append(ir.OpBr, nil).Edges = []*ir.Block{body}
 
 	fl.fn.RecomputePreds()
 	return nil
@@ -112,7 +112,7 @@ func (fl *fnLowerer) alloca(d *ast.VarDecl) *ir.Instr {
 		elem = d.Typ.Elem
 	}
 	a := fl.entry.NewInstr(ir.OpAlloca, types.PointerTo(elem))
-	a.Count = count
+	a.IntVal = int64(count)
 	// Allocas go at the head of the entry block, before parameter spills.
 	fl.entry.Instrs = append([]*ir.Instr{a}, fl.entry.Instrs...)
 	fl.vars[d] = a
@@ -134,7 +134,7 @@ func (fl *fnLowerer) emit(op ir.Op, t *types.Type, args ...*ir.Instr) *ir.Instr 
 // already terminated) and makes target the current block.
 func (fl *fnLowerer) br(target *ir.Block) {
 	if fl.cur.Term() == nil {
-		fl.emit(ir.OpBr, nil).Targets = []*ir.Block{target}
+		fl.emit(ir.OpBr, nil).Edges = []*ir.Block{target}
 	}
 	fl.cur = target
 }
@@ -142,14 +142,14 @@ func (fl *fnLowerer) br(target *ir.Block) {
 // jump emits a jump to target and switches to a fresh unreachable block
 // (for source code following a return/break/continue).
 func (fl *fnLowerer) jumpAndOrphan(target *ir.Block) {
-	fl.emit(ir.OpBr, nil).Targets = []*ir.Block{target}
+	fl.emit(ir.OpBr, nil).Edges = []*ir.Block{target}
 	fl.cur = fl.fn.NewBlock()
 }
 
 // condBr branches on v.
 func (fl *fnLowerer) condBr(v *ir.Instr, t, f *ir.Block) {
 	cb := fl.emit(ir.OpCondBr, nil, v)
-	cb.Targets = []*ir.Block{t, f}
+	cb.Edges = []*ir.Block{t, f}
 }
 
 // ---------------------------------------------------------------------------

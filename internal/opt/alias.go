@@ -63,7 +63,7 @@ func (c *AliasCtx) reset(f *ir.Func, level AliasLevel) {
 // report false — passes never create allocas mid-flight, so every queried
 // base predates the context.
 func (c *AliasCtx) isExposed(a *ir.Instr) bool {
-	return a.ID < len(c.exposed) && c.exposed[a.ID]
+	return int(a.ID) < len(c.exposed) && c.exposed[a.ID]
 }
 
 // MayAlias reports whether two locations can overlap, at the configured

@@ -79,8 +79,8 @@ func (t *escapeTables) compute(m *ir.Module) {
 			t.esc = escapingValues(f, summaries, t.esc)
 			for _, b := range f.Blocks {
 				for _, in := range b.Instrs {
-					if in.Op == ir.OpParam && t.esc[in.ID] && !summaries[f][in.ParamIdx] {
-						summaries[f][in.ParamIdx] = true
+					if in.Op == ir.OpParam && t.esc[in.ID] && !summaries[f][in.IntVal] {
+						summaries[f][in.IntVal] = true
 						changed = true
 					}
 				}

@@ -192,7 +192,7 @@ type gvnKey struct {
 	bin        token.Kind
 	aux        int64
 	g          *ir.Global
-	a0, a1, a2 int
+	a0, a1, a2 int32
 	n          int8
 }
 

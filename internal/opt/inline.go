@@ -155,7 +155,7 @@ func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 	b.Instrs = b.Instrs[:idx] // also drops the call itself
 	// Successors of the old terminator now come from cont.
 	if t := cont.Term(); t != nil {
-		for _, s := range t.Targets {
+		for _, s := range t.Edges {
 			for i, p := range s.Preds {
 				if p == b {
 					s.Preds[i] = cont
@@ -165,9 +165,9 @@ func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 				if in.Op != ir.OpPhi {
 					break
 				}
-				for i, pb := range in.PhiPreds {
+				for i, pb := range in.Edges {
 					if pb == b {
-						in.PhiPreds[i] = cont
+						in.Edges[i] = cont
 					}
 				}
 			}
@@ -201,7 +201,7 @@ func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 		for _, in := range cb.Instrs {
 			switch in.Op {
 			case ir.OpParam:
-				cm.setVal(in, call.Args[in.ParamIdx])
+				cm.setVal(in, call.Args[in.IntVal])
 				continue
 			case ir.OpRet:
 				var rv *ir.Instr
@@ -210,7 +210,7 @@ func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 				}
 				rets = append(rets, retEdge{rv, nb})
 				br := nb.NewInstr(ir.OpBr, nil)
-				br.Targets = []*ir.Block{cont}
+				br.Edges = []*ir.Block{cont}
 				nb.Instrs = append(nb.Instrs, br)
 				continue
 			}
@@ -218,18 +218,13 @@ func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 			ni.IntVal = in.IntVal
 			ni.Global = in.Global
 			ni.Callee = in.Callee
-			ni.ParamIdx = in.ParamIdx
-			ni.Count = in.Count
 			ni.BinOp = in.BinOp
 			ni.Widened = in.Widened
 			for _, a := range in.Args {
 				ni.Args = append(ni.Args, mapVal(a))
 			}
-			for _, t := range in.Targets {
-				ni.Targets = append(ni.Targets, mapBlock(t))
-			}
-			for _, pp := range in.PhiPreds {
-				ni.PhiPreds = append(ni.PhiPreds, mapBlock(pp))
+			for _, t := range in.Edges {
+				ni.Edges = append(ni.Edges, mapBlock(t))
 			}
 			cm.setVal(in, ni)
 			nb.Instrs = append(nb.Instrs, ni)
@@ -256,7 +251,7 @@ func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 
 	// 3. b jumps into the cloned entry.
 	br := b.NewInstr(ir.OpBr, nil)
-	br.Targets = []*ir.Block{mapBlock(callee.Entry())}
+	br.Edges = []*ir.Block{mapBlock(callee.Entry())}
 	b.Instrs = append(b.Instrs, br)
 
 	// 4. The call's result value.
@@ -278,7 +273,7 @@ func inlineCall(caller *ir.Func, call *ir.Instr, cm *cloneMap) {
 			phi := cont.NewInstr(ir.OpPhi, call.Typ)
 			for _, r := range rets {
 				phi.Args = append(phi.Args, r.val)
-				phi.PhiPreds = append(phi.PhiPreds, r.block)
+				phi.Edges = append(phi.Edges, r.block)
 			}
 			cont.Instrs = append([]*ir.Instr{phi}, cont.Instrs...)
 			result = phi

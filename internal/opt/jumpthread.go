@@ -56,9 +56,9 @@ func jumpThreadOnce(f *ir.Func, c *cfgScratch) bool {
 				}
 				cond = r
 			}
-			target := term.Targets[1]
+			target := term.Edges[1]
 			if cond != 0 {
-				target = term.Targets[0]
+				target = term.Edges[0]
 			}
 			// The target must tolerate the new edge: each phi's value for
 			// pred b must dominate the new pred p (being defined outside b
@@ -75,10 +75,10 @@ func jumpThreadOnce(f *ir.Func, c *cfgScratch) bool {
 				if in.Op != ir.OpPhi {
 					break
 				}
-				for j, pb := range in.PhiPreds {
+				for j, pb := range in.Edges {
 					if pb == b {
 						in.Args = append(in.Args, in.Args[j])
-						in.PhiPreds = append(in.PhiPreds, p)
+						in.Edges = append(in.Edges, p)
 						break
 					}
 				}
@@ -168,10 +168,10 @@ func usedOutside(v *ir.Instr, b *ir.Block) bool {
 // phiIndexFor locates the phi entry for pred p; hint is the index of p in
 // b.Preds, which usually matches.
 func phiIndexFor(phi *ir.Instr, p *ir.Block, hint int) int {
-	if hint < len(phi.PhiPreds) && phi.PhiPreds[hint] == p {
+	if hint < len(phi.Edges) && phi.Edges[hint] == p {
 		return hint
 	}
-	for i, pb := range phi.PhiPreds {
+	for i, pb := range phi.Edges {
 		if pb == p {
 			return i
 		}
@@ -188,7 +188,7 @@ func phisSafeToRetarget(b, target, p *ir.Block, dt *ir.DomTree) bool {
 			break
 		}
 		found := false
-		for j, pb := range in.PhiPreds {
+		for j, pb := range in.Edges {
 			if pb == b {
 				def := in.Args[j].Block
 				if def == b || !dt.Dominates(def, p) {

@@ -81,7 +81,7 @@ func preheader(f *ir.Func, l *ir.Loop) *ir.Block {
 	// Create a dedicated preheader: outside preds -> pre -> header.
 	pre := f.NewBlock()
 	br := pre.NewInstr(ir.OpBr, nil)
-	br.Targets = []*ir.Block{l.Header}
+	br.Edges = []*ir.Block{l.Header}
 	pre.Instrs = []*ir.Instr{br}
 
 	// Move phi entries for outside preds into a phi in pre (or reuse the
@@ -94,7 +94,7 @@ func preheader(f *ir.Func, l *ir.Loop) *ir.Block {
 		var preds []*ir.Block
 		var keptVals []*ir.Instr
 		var keptPreds []*ir.Block
-		for i, pb := range in.PhiPreds {
+		for i, pb := range in.Edges {
 			if l.Contains(pb) {
 				keptVals = append(keptVals, in.Args[i])
 				keptPreds = append(keptPreds, pb)
@@ -109,19 +109,19 @@ func preheader(f *ir.Func, l *ir.Loop) *ir.Block {
 		} else {
 			phi := pre.NewInstr(ir.OpPhi, in.Typ)
 			phi.Args = vals
-			phi.PhiPreds = preds
+			phi.Edges = preds
 			pre.Instrs = append([]*ir.Instr{phi}, pre.Instrs...)
 			fromPre = phi
 		}
 		in.Args = append(keptVals, fromPre)
-		in.PhiPreds = append(keptPreds, pre)
+		in.Edges = append(keptPreds, pre)
 	}
 	// Redirect outside edges to pre.
 	for _, p := range outside {
 		t := p.Term()
-		for i, tgt := range t.Targets {
+		for i, tgt := range t.Edges {
 			if tgt == l.Header {
-				t.Targets[i] = pre
+				t.Edges[i] = pre
 			}
 		}
 		for i, q := range l.Header.Preds {
@@ -182,7 +182,7 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, defined *[]bool) 
 
 	invariant := func(in *ir.Instr) bool {
 		for _, a := range in.Args {
-			if a.ID < len(definedInLoop) && definedInLoop[a.ID] {
+			if int(a.ID) < len(definedInLoop) && definedInLoop[a.ID] {
 				return false
 			}
 		}
@@ -201,7 +201,7 @@ func licmLoop(f *ir.Func, l *ir.Loop, ac *AliasCtx, o Options, defined *[]bool) 
 		// in-bounds — a known offset into known storage.
 		switch {
 		case loc.G != nil && loc.OffKnown && loc.Off >= 0 && loc.Off < int64(loc.G.Len):
-		case loc.A != nil && loc.OffKnown && loc.Off >= 0 && loc.Off < int64(loc.A.Count):
+		case loc.A != nil && loc.OffKnown && loc.Off >= 0 && loc.Off < loc.A.IntVal:
 		default:
 			return ReasonBoundsUnknown, "access not provably in bounds, so speculation is unsafe"
 		}

@@ -88,7 +88,7 @@ func localizeOne(m *ir.Module, g *ir.Global, mainFn *ir.Func) bool {
 
 	// The stack slot, its initialization, and the address substitution.
 	slot := entry.NewInstr(ir.OpAlloca, types.PointerTo(g.Elem))
-	slot.Count = 1
+	slot.IntVal = 1
 	initVal := materializeInit(m, entry, g)
 	st := entry.NewInstr(ir.OpStore, nil, slot, initVal)
 	// Prepend in order: alloca, init value chain, store.

@@ -22,7 +22,7 @@ func mem2regFunc(f *ir.Func, o Options) bool {
 	var cands []*ir.Instr
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
-			if in.Op != ir.OpAlloca || in.Count != 1 {
+			if in.Op != ir.OpAlloca || in.IntVal != 1 {
 				continue
 			}
 			if promotable(f, in) {
@@ -173,7 +173,7 @@ func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reloc *i
 				v = mkZero()
 			}
 			phi.Args = append(phi.Args, v)
-			phi.PhiPreds = append(phi.PhiPreds, b)
+			phi.Edges = append(phi.Edges, b)
 		}
 		for _, kid := range dt.Children(b) {
 			walk(kid, cur)
@@ -211,7 +211,7 @@ func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reloc *i
 		}
 		for _, p := range b.Preds {
 			covered := 0
-			for _, pp := range phi.PhiPreds {
+			for _, pp := range phi.Edges {
 				if pp == p {
 					covered++
 				}
@@ -224,7 +224,7 @@ func promote(f *ir.Func, a *ir.Instr, dt *ir.DomTree, df [][]*ir.Block, reloc *i
 			}
 			for ; covered < occurs; covered++ {
 				phi.Args = append(phi.Args, mkZero())
-				phi.PhiPreds = append(phi.PhiPreds, p)
+				phi.Edges = append(phi.Edges, p)
 			}
 		}
 	}

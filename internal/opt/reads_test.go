@@ -46,10 +46,10 @@ func sameIR(a, b *ir.Module) bool {
 			for k, in := range x.Instrs {
 				jn := y.Instrs[k]
 				if in.Op != jn.Op || in.ID != jn.ID || !sameType(in.Typ, jn.Typ) || in.IntVal != jn.IntVal ||
-					in.ParamIdx != jn.ParamIdx || in.Count != jn.Count || in.BinOp != jn.BinOp || in.Widened != jn.Widened ||
+					in.BinOp != jn.BinOp || in.Widened != jn.Widened ||
 					(in.Global == nil) != (jn.Global == nil) || in.Global != nil && in.Global.Name != jn.Global.Name ||
 					(in.Callee == nil) != (jn.Callee == nil) || in.Callee != nil && in.Callee.Name != jn.Callee.Name ||
-					!sameIDs(in.Targets, jn.Targets) || !sameIDs(in.PhiPreds, jn.PhiPreds) || len(in.Args) != len(jn.Args) {
+					!sameIDs(in.Edges, jn.Edges) || len(in.Args) != len(jn.Args) {
 					return false
 				}
 				for l, v := range in.Args {

@@ -139,7 +139,7 @@ func (s *sccpState) edgeIsExec(from, to *ir.Block) bool {
 	if t == nil {
 		return false
 	}
-	for i, tgt := range t.Targets {
+	for i, tgt := range t.Edges {
 		if tgt == to && s.edgeExec[2*from.ID+i] {
 			return true
 		}
@@ -155,7 +155,7 @@ func (s *sccpState) markEdgeExec(from, to *ir.Block) bool {
 		return false
 	}
 	marked := false
-	for i, tgt := range t.Targets {
+	for i, tgt := range t.Edges {
 		if tgt == to && !s.edgeExec[2*from.ID+i] {
 			s.edgeExec[2*from.ID+i] = true
 			marked = true
@@ -240,7 +240,7 @@ func (s *sccpState) visit(in *ir.Instr) {
 	case ir.OpPhi:
 		v := lattice{}
 		for i, a := range in.Args {
-			if !s.edgeIsExec(in.PhiPreds[i], in.Block) {
+			if !s.edgeIsExec(in.Edges[i], in.Block) {
 				continue
 			}
 			v = meet(v, s.value(a))
@@ -288,19 +288,19 @@ func (s *sccpState) visit(in *ir.Instr) {
 	case ir.OpBin:
 		s.visitBin(in)
 	case ir.OpBr:
-		s.addFlow(in.Block, in.Targets[0])
+		s.addFlow(in.Block, in.Edges[0])
 	case ir.OpCondBr:
 		c := s.value(in.Args[0])
 		switch c.kind {
 		case latConstInt, latConstNull, latConstAddr:
 			if truthyLat(c) {
-				s.addFlow(in.Block, in.Targets[0])
+				s.addFlow(in.Block, in.Edges[0])
 			} else {
-				s.addFlow(in.Block, in.Targets[1])
+				s.addFlow(in.Block, in.Edges[1])
 			}
 		case latVarying:
-			s.addFlow(in.Block, in.Targets[0])
-			s.addFlow(in.Block, in.Targets[1])
+			s.addFlow(in.Block, in.Edges[0])
+			s.addFlow(in.Block, in.Edges[1])
 		}
 	case ir.OpStore, ir.OpRet:
 		// no lattice value
@@ -454,16 +454,16 @@ func (s *sccpState) apply() bool {
 		if t == nil || t.Op != ir.OpCondBr {
 			continue
 		}
-		trueExec := s.edgeIsExec(b, t.Targets[0])
-		falseExec := s.edgeIsExec(b, t.Targets[1])
+		trueExec := s.edgeIsExec(b, t.Edges[0])
+		falseExec := s.edgeIsExec(b, t.Edges[1])
 		if trueExec && falseExec {
 			continue
 		}
 		var live, dead *ir.Block
 		if trueExec {
-			live, dead = t.Targets[0], t.Targets[1]
+			live, dead = t.Edges[0], t.Edges[1]
 		} else if falseExec {
-			live, dead = t.Targets[1], t.Targets[0]
+			live, dead = t.Edges[1], t.Edges[0]
 		} else {
 			continue // block executable but no out-edge marked: terminator unreached in solve (shouldn't happen)
 		}
@@ -473,7 +473,7 @@ func (s *sccpState) apply() bool {
 		ir.RemoveEdge(b, dead)
 		t.Op = ir.OpBr
 		t.Args = nil
-		t.Targets = []*ir.Block{live}
+		t.Edges = []*ir.Block{live}
 		changed = true
 	}
 	return changed

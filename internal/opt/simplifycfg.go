@@ -97,9 +97,9 @@ func removeUnreachable(f *ir.Func, c *cfgScratch) bool {
 					if in.Op != ir.OpPhi {
 						break
 					}
-					for j, pb := range in.PhiPreds {
+					for j, pb := range in.Edges {
 						if pb == p {
-							in.PhiPreds = append(in.PhiPreds[:j], in.PhiPreds[j+1:]...)
+							in.Edges = append(in.Edges[:j], in.Edges[j+1:]...)
 							in.Args = append(in.Args[:j], in.Args[j+1:]...)
 							break
 						}
@@ -119,12 +119,12 @@ func foldConstBranch(b *ir.Block) bool {
 	if t == nil || t.Op != ir.OpCondBr {
 		return false
 	}
-	if t.Targets[0] == t.Targets[1] {
-		tgt := t.Targets[0]
+	if t.Edges[0] == t.Edges[1] {
+		tgt := t.Edges[0]
 		ir.RemoveEdge(b, tgt) // drop one of the two parallel edges
 		t.Op = ir.OpBr
 		t.Args = nil
-		t.Targets = []*ir.Block{tgt}
+		t.Edges = []*ir.Block{tgt}
 		return true
 	}
 	cond := t.Args[0]
@@ -141,12 +141,12 @@ func foldConstBranch(b *ir.Block) bool {
 	default:
 		return false
 	}
-	dead := t.Targets[1-taken]
-	live := t.Targets[taken]
+	dead := t.Edges[1-taken]
+	live := t.Edges[taken]
 	ir.RemoveEdge(b, dead)
 	t.Op = ir.OpBr
 	t.Args = nil
-	t.Targets = []*ir.Block{live}
+	t.Edges = []*ir.Block{live}
 	return true
 }
 
@@ -202,7 +202,7 @@ func mergeStraightLine(f *ir.Func) bool {
 			if t == nil || t.Op != ir.OpBr {
 				continue
 			}
-			s := t.Targets[0]
+			s := t.Edges[0]
 			if s == b || len(s.Preds) != 1 || s.Preds[0] != b || s == f.Entry() {
 				continue
 			}
@@ -228,9 +228,9 @@ func mergeStraightLine(f *ir.Func) bool {
 					if in.Op != ir.OpPhi {
 						break
 					}
-					for i, pb := range in.PhiPreds {
+					for i, pb := range in.Edges {
 						if pb == s {
-							in.PhiPreds[i] = b
+							in.Edges[i] = b
 						}
 					}
 				}
@@ -266,7 +266,7 @@ func skipEmptyBlocks(f *ir.Func, c *cfgScratch) bool {
 		if t == nil || t.Op != ir.OpBr {
 			continue
 		}
-		s := t.Targets[0]
+		s := t.Edges[0]
 		if s == b {
 			continue
 		}
@@ -292,17 +292,17 @@ func skipEmptyBlocks(f *ir.Func, c *cfgScratch) bool {
 				if in.Op != ir.OpPhi {
 					break
 				}
-				for i, pb := range in.PhiPreds {
+				for i, pb := range in.Edges {
 					if pb == b {
-						in.PhiPreds[i] = p
+						in.Edges[i] = p
 					}
 				}
 			}
 			// Rewire edges manually: p -> s replaces p -> b -> s.
 			pt := p.Term()
-			for i, tgt := range pt.Targets {
+			for i, tgt := range pt.Edges {
 				if tgt == b {
-					pt.Targets[i] = s
+					pt.Edges[i] = s
 				}
 			}
 			for i, q := range s.Preds {
@@ -311,7 +311,7 @@ func skipEmptyBlocks(f *ir.Func, c *cfgScratch) bool {
 				}
 			}
 			b.Preds = nil
-			t.Targets = nil // neutralize; b is now unreachable
+			t.Edges = nil // neutralize; b is now unreachable
 			t.Op = ir.OpRet
 			changed = true
 			continue

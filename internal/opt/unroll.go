@@ -73,7 +73,7 @@ func matchCountedLoop(l *ir.Loop) (counterShape, bool) {
 		return cs, false
 	}
 	// The true edge must stay in the loop and the false edge must exit.
-	if l.Contains(t.Targets[1]) || !l.Contains(t.Targets[0]) {
+	if l.Contains(t.Edges[1]) || !l.Contains(t.Edges[0]) {
 		return cs, false
 	}
 	phi := cmp.Args[0]
@@ -83,15 +83,15 @@ func matchCountedLoop(l *ir.Loop) (counterShape, bool) {
 	for i := 0; i < 2; i++ {
 		a, b := phi.Args[i], phi.Args[1-i]
 		c0, ok0 := isConst(a)
-		if !ok0 || l.Contains(phi.PhiPreds[i]) {
+		if !ok0 || l.Contains(phi.Edges[i]) {
 			continue
 		}
-		if b.Op == ir.OpBin && b.BinOp == token.Plus && b.Args[0] == phi && l.Contains(phi.PhiPreds[1-i]) {
+		if b.Op == ir.OpBin && b.BinOp == token.Plus && b.Args[0] == phi && l.Contains(phi.Edges[1-i]) {
 			if s, ok1 := isConst(b.Args[1]); ok1 && s > 0 {
 				cs.phi, cs.inc, cs.init, cs.step = phi, b, c0, s
 				cs.bound = bound
-				cs.trueTgt = t.Targets[0]
-				cs.exit = t.Targets[1]
+				cs.trueTgt = t.Edges[0]
+				cs.exit = t.Edges[1]
 				return cs, true
 			}
 		}
@@ -163,7 +163,7 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 			break
 		}
 		pi := phiInfo{phi: in}
-		for i, pb := range in.PhiPreds {
+		for i, pb := range in.Edges {
 			if l.Contains(pb) {
 				pi.latchVal = in.Args[i]
 			} else {
@@ -208,9 +208,9 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 		} else {
 			// Clone k-1's latch jumps to clone k's header.
 			lt := tail.Term()
-			for i, tgt := range lt.Targets {
+			for i, tgt := range lt.Edges {
 				if tgt == head {
-					lt.Targets[i] = nh
+					lt.Edges[i] = nh
 				}
 			}
 		}
@@ -221,9 +221,9 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 
 	// Preheader enters clone 0.
 	pt := pre.Term()
-	for i, tgt := range pt.Targets {
+	for i, tgt := range pt.Edges {
 		if tgt == h {
-			pt.Targets[i] = entry
+			pt.Edges[i] = entry
 		}
 	}
 
@@ -241,9 +241,9 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 				}
 			}
 			if in.Op == ir.OpPhi {
-				for i, pb := range in.PhiPreds {
+				for i, pb := range in.Edges {
 					if pb == h {
-						in.PhiPreds[i] = head
+						in.Edges[i] = head
 					}
 				}
 			}
@@ -300,9 +300,9 @@ func cloneIteration(f *ir.Func, l *ir.Loop, m *cloneMap, last bool, cs counterSh
 			if in == l.Header.Term() {
 				br := nb.NewInstr(ir.OpBr, nil)
 				if last {
-					br.Targets = []*ir.Block{cs.exit}
+					br.Edges = []*ir.Block{cs.exit}
 				} else {
-					br.Targets = []*ir.Block{mapBlock(cs.trueTgt)}
+					br.Edges = []*ir.Block{mapBlock(cs.trueTgt)}
 				}
 				nb.Instrs = append(nb.Instrs, br)
 				continue
@@ -311,18 +311,13 @@ func cloneIteration(f *ir.Func, l *ir.Loop, m *cloneMap, last bool, cs counterSh
 			ni.IntVal = in.IntVal
 			ni.Global = in.Global
 			ni.Callee = in.Callee
-			ni.ParamIdx = in.ParamIdx
-			ni.Count = in.Count
 			ni.BinOp = in.BinOp
 			ni.Widened = in.Widened
 			for _, a := range in.Args {
 				ni.Args = append(ni.Args, resolve(a))
 			}
-			for _, t := range in.Targets {
-				ni.Targets = append(ni.Targets, mapBlock(t))
-			}
-			for _, pp := range in.PhiPreds {
-				ni.PhiPreds = append(ni.PhiPreds, mapBlock(pp))
+			for _, t := range in.Edges {
+				ni.Edges = append(ni.Edges, mapBlock(t))
 			}
 			m.setVal(in, ni)
 			nb.Instrs = append(nb.Instrs, ni)

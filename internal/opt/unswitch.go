@@ -57,7 +57,7 @@ func unswitchOne(f *ir.Func, o Options, c *cfgScratch) bool {
 			}
 			// Both targets must stay within the loop (otherwise this is a
 			// guarded exit; keep those for simplicity).
-			if !l.Contains(t.Targets[0]) || !l.Contains(t.Targets[1]) {
+			if !l.Contains(t.Edges[0]) || !l.Contains(t.Edges[1]) {
 				continue
 			}
 			cbr = t
@@ -133,7 +133,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block, c *cfgScratch) {
 					if a != v {
 						continue
 					}
-					if in.Op == ir.OpPhi && in.Block == exit && l.Contains(in.PhiPreds[i]) {
+					if in.Op == ir.OpPhi && in.Block == exit && l.Contains(in.Edges[i]) {
 						continue // already edge-correct
 					}
 					hasOutside = true
@@ -147,7 +147,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block, c *cfgScratch) {
 		for _, p := range exit.Preds {
 			if l.Contains(p) {
 				phi.Args = append(phi.Args, v)
-				phi.PhiPreds = append(phi.PhiPreds, p)
+				phi.Edges = append(phi.Edges, p)
 			}
 		}
 		if len(phi.Args) != len(exit.Preds) {
@@ -170,7 +170,7 @@ func buildLCSSA(f *ir.Func, l *ir.Loop, exit *ir.Block, c *cfgScratch) {
 					if a != v {
 						continue
 					}
-					if in.Op == ir.OpPhi && in.Block == exit && l.Contains(in.PhiPreds[i]) {
+					if in.Op == ir.OpPhi && in.Block == exit && l.Contains(in.Edges[i]) {
 						continue
 					}
 					in.Args[i] = phi
@@ -204,20 +204,20 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 	cloneRegion(f, l, cm)
 
 	// Original: branch always goes to the true target.
-	trueTgt := cbr.Targets[0]
-	falseTgt := cbr.Targets[1]
+	trueTgt := cbr.Edges[0]
+	falseTgt := cbr.Edges[1]
 	ir.RemoveEdge(cbr.Block, falseTgt)
 	cbr.Op = ir.OpBr
 	cbr.Args = nil
-	cbr.Targets = []*ir.Block{trueTgt}
+	cbr.Edges = []*ir.Block{trueTgt}
 
 	// Clone: branch always goes to the (cloned) false target.
 	cc, _ := cm.val(cbr)
-	ccTrue := cc.Targets[0]
+	ccTrue := cc.Edges[0]
 	ir.RemoveEdge(cc.Block, ccTrue)
 	cc.Op = ir.OpBr
 	cc.Args = nil
-	cc.Targets = []*ir.Block{cc.Targets[1]}
+	cc.Edges = []*ir.Block{cc.Edges[1]}
 
 	// Exit edges of the clone: cloned blocks branching out of the loop go
 	// to the same exit blocks; their phis gain entries for the new preds
@@ -236,14 +236,14 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 				if in.Op != ir.OpPhi {
 					break
 				}
-				for j, pb := range in.PhiPreds {
+				for j, pb := range in.Edges {
 					if pb == b {
 						v := in.Args[j]
 						if nv, ok := cm.val(v); ok {
 							v = nv
 						}
 						in.Args = append(in.Args, v)
-						in.PhiPreds = append(in.PhiPreds, nb)
+						in.Edges = append(in.Edges, nb)
 						break
 					}
 				}
@@ -267,7 +267,7 @@ func doUnswitch(f *ir.Func, l *ir.Loop, cbr *ir.Instr, exit *ir.Block, o Options
 	pt.Op = ir.OpCondBr
 	pt.Args = []*ir.Instr{testCond}
 	ch, _ := cm.block(l.Header)
-	pt.Targets = []*ir.Block{l.Header, ch}
+	pt.Edges = []*ir.Block{l.Header, ch}
 	ir.AddEdge(pre, ch)
 
 	// The cloned header's phis already reference pre for their outside
@@ -304,16 +304,11 @@ func cloneRegion(f *ir.Func, l *ir.Loop, m *cloneMap) {
 			ni.IntVal = in.IntVal
 			ni.Global = in.Global
 			ni.Callee = in.Callee
-			ni.ParamIdx = in.ParamIdx
-			ni.Count = in.Count
 			ni.BinOp = in.BinOp
 			ni.Widened = in.Widened
 			ni.Args = append(ni.Args, in.Args...)
-			for _, t := range in.Targets {
-				ni.Targets = append(ni.Targets, mapBlock(t))
-			}
-			for _, pp := range in.PhiPreds {
-				ni.PhiPreds = append(ni.PhiPreds, mapBlock(pp))
+			for _, t := range in.Edges {
+				ni.Edges = append(ni.Edges, mapBlock(t))
 			}
 			m.setVal(in, ni)
 			nb.Instrs = append(nb.Instrs, ni)

@@ -108,7 +108,7 @@ func vrpFunc(f *ir.Func, o Options) bool {
 	st.ranges = resize(st.ranges, f.NumValues())
 	ranges := st.ranges
 	get := func(v *ir.Instr) vrange {
-		if v.ID < len(ranges) && ranges[v.ID].known {
+		if int(v.ID) < len(ranges) && ranges[v.ID].known {
 			return ranges[v.ID].r
 		}
 		return fullR()
@@ -481,7 +481,7 @@ func loopCounterRanges(loops []*ir.Loop) map[*ir.Instr]vrange {
 		if !ok {
 			continue
 		}
-		if l.Contains(t.Targets[1]) {
+		if l.Contains(t.Edges[1]) {
 			continue // false edge must exit
 		}
 		phi := cmp.Args[0]
@@ -495,11 +495,11 @@ func loopCounterRanges(loops []*ir.Loop) map[*ir.Instr]vrange {
 		for i := 0; i < 2; i++ {
 			a, b := phi.Args[i], phi.Args[1-i]
 			c0, ok0 := isConst(a)
-			if !ok0 || l.Contains(phi.PhiPreds[i]) {
+			if !ok0 || l.Contains(phi.Edges[i]) {
 				continue
 			}
 			if b.Op == ir.OpBin && b.BinOp == token.Plus && b.Args[0] == phi {
-				if s, ok1 := isConst(b.Args[1]); ok1 && s > 0 && l.Contains(phi.PhiPreds[1-i]) {
+				if s, ok1 := isConst(b.Args[1]); ok1 && s > 0 && l.Contains(phi.Edges[1-i]) {
 					init, step = c0, s
 					okShape = true
 				}

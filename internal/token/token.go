@@ -9,8 +9,9 @@ package token
 
 import "fmt"
 
-// Kind identifies the lexical class of a token.
-type Kind int
+// Kind identifies the lexical class of a token. It is a byte because an
+// ir.Instr carries one as its binary operator.
+type Kind uint8
 
 // Token kinds. The order within operator groups matters only for
 // readability; precedence is defined by the parser.
