@@ -83,20 +83,24 @@ func ipsccp(m *ir.Module, o Options, inv *Invalidation) bool {
 //
 // Indexes are recycled through accessPool under the pooled-scratch rule
 // (scratch.go): the per-value table serves every function of every
-// build, and the map keeps its buckets.
+// build, and the map keeps its buckets. The per-value table holds no
+// pointer, so clearing it pays no write barrier and the collector never
+// scans it; it numbers the globals a function addresses instead.
 type accessIndex struct {
 	info map[*ir.Global]*globalAccessInfo
 	// bases describes the values of the function being indexed, by
-	// Instr.ID; it is empty between builds.
+	// Instr.ID, and addrs lists the global each of its OpGlobalAddr
+	// values takes the address of; both are empty between builds.
 	bases []valueBase
+	addrs []*ir.Global
 }
 
 // valueBase is what the index knows of one value while it indexes the
 // value's function.
 type valueBase struct {
-	g     *ir.Global // chain base: the global this value addresses
-	chain bool       // the value is a GEP link, not the raw address
-	state uint8      // GEP memo: 0 unresolved, 1 visiting, 2 done
+	g     int32 // chain base: 1 + the index in addrs of the global this value addresses, or 0
+	chain bool  // the value is a GEP link, not the raw address
+	state uint8 // GEP memo: 0 unresolved, 1 visiting, 2 done
 }
 
 type globalAccessInfo struct {
@@ -130,14 +134,15 @@ func (ai *accessIndex) rebuild(m *ir.Module) {
 	clear(ai.info)
 	for _, f := range m.Funcs {
 		ai.bases = resize(ai.bases, f.NumValues())
+		ai.addrs = shrink(ai.addrs, 0)
 		bases := ai.bases
 		for _, b := range f.Blocks {
 			for _, in := range b.Instrs {
 				switch in.Op {
 				case ir.OpGlobalAddr:
-					bases[in.ID].g = in.Global
+					ai.addr(in)
 				case ir.OpGEP:
-					resolveBase(bases, in)
+					ai.resolveBase(in)
 					bases[in.ID].chain = true
 				}
 			}
@@ -146,10 +151,10 @@ func (ai *accessIndex) rebuild(m *ir.Module) {
 			for _, u := range b.Instrs {
 				for i, a := range u.Args {
 					vb := bases[a.ID]
-					if vb.g == nil {
+					if vb.g == 0 {
 						continue
 					}
-					gi := ai.of(vb.g)
+					gi := ai.of(ai.addrs[vb.g-1])
 					if !vb.chain {
 						switch {
 						case u.Op == ir.OpLoad:
@@ -182,7 +187,7 @@ func (ai *accessIndex) rebuild(m *ir.Module) {
 			}
 		}
 	}
-	ai.bases = shrink(ai.bases, 0)
+	ai.bases, ai.addrs = shrink(ai.bases, 0), shrink(ai.addrs, 0)
 }
 
 // of returns g's entry, creating it.
@@ -195,25 +200,36 @@ func (ai *accessIndex) of(g *ir.Global) *globalAccessInfo {
 	return gi
 }
 
-// resolveBase returns the global the GEP chain ending in in addresses,
-// memoized in bases.
-func resolveBase(bases []valueBase, in *ir.Instr) *ir.Global {
+// addr returns the number of the OpGlobalAddr value in's global in addrs,
+// numbering it when in is first seen.
+func (ai *accessIndex) addr(in *ir.Instr) int32 {
+	vb := &ai.bases[in.ID]
+	if vb.g == 0 {
+		ai.addrs = append(ai.addrs, in.Global)
+		vb.g = int32(len(ai.addrs))
+	}
+	return vb.g
+}
+
+// resolveBase returns the number of the global the GEP chain ending in in
+// addresses, or 0 for none, memoized in bases.
+func (ai *accessIndex) resolveBase(in *ir.Instr) int32 {
 	switch in.Op {
 	case ir.OpGlobalAddr:
-		return in.Global
+		return ai.addr(in)
 	case ir.OpGEP:
-		vb := &bases[in.ID]
+		vb := &ai.bases[in.ID]
 		switch vb.state {
 		case 0:
 			vb.state = 1
-			vb.g = resolveBase(bases, in.Args[0])
+			vb.g = ai.resolveBase(in.Args[0])
 			vb.state = 2
 		case 1:
-			return nil // defensive: SSA defs cannot cycle
+			return 0 // defensive: SSA defs cannot cycle
 		}
 		return vb.g
 	}
-	return nil
+	return 0
 }
 
 // accesses collects all direct loads and stores of g. ok is false if g's

@@ -113,6 +113,18 @@ func (m *cloneMap) reset(nb, nv int) {
 	m.vals = resize(m.vals, nv)
 }
 
+// forget zeroes the slots of blocks and of their values, so that a map
+// reused for another copy of the same region clears the region's slots
+// rather than a table as large as the function.
+func (m *cloneMap) forget(blocks []*ir.Block) {
+	for _, b := range blocks {
+		m.blocks[b.ID] = blockPair{}
+		for _, in := range b.Instrs {
+			m.vals[in.ID] = valuePair{}
+		}
+	}
+}
+
 func (m *cloneMap) setBlock(old, new *ir.Block) { m.blocks[old.ID] = blockPair{old, new} }
 
 func (m *cloneMap) setVal(old, new *ir.Instr) { m.vals[old.ID] = valuePair{old, new} }

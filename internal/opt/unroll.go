@@ -176,12 +176,22 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 	// Clone the body once per iteration. Every block created from here on
 	// is a clone. Iteration k's maps (cur) start with its substitution for
 	// the header phis, so a reference to a phi resolves like one to a
-	// cloned value; prev holds iteration k-1's.
+	// cloned value; prev holds iteration k-1's. An iteration writes only
+	// the slots of the loop's blocks and values, so cur forgets those
+	// instead of clearing a table as large as the function.
 	latch := l.Latches[0]
+	var order []*ir.Block // the loop's blocks, in function order
+	for _, b := range f.Blocks {
+		if l.Contains(b) {
+			order = append(order, b)
+		}
+	}
 	firstClone, nv := f.NumBlocks(), f.NumValues()
 	prev, cur := clonePool.Get(), clonePool.Get()
 	defer putCloneMap(prev)
 	defer putCloneMap(cur)
+	prev.reset(firstClone, nv)
+	cur.reset(firstClone, nv)
 	var entry, head, tail *ir.Block // clone 0's header; the last clone's header and latch
 	for k := int64(0); k <= trips; k++ {
 		for i := range phis {
@@ -197,11 +207,11 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 				}
 			}
 		}
-		cur.reset(firstClone, nv)
+		cur.forget(order)
 		for _, pi := range phis {
 			cur.setVal(pi.phi, pi.subst)
 		}
-		cloneIteration(f, l, cur, k == trips, cs)
+		cloneIteration(f, l, order, cur, k == trips, cs)
 		nh, _ := cur.block(h)
 		if k == 0 {
 			entry = nh
@@ -264,18 +274,12 @@ func doUnroll(f *ir.Func, l *ir.Loop, cs counterShape, pre *ir.Block, trips int6
 	removeUnreachable(f, c)
 }
 
-// cloneIteration clones the loop body for one iteration, mapping each
-// loop block and value to its clone in m. Header phis are not cloned: m
-// maps each to the value it takes in this iteration. When last is set, the
-// header's branch exits the loop; otherwise it falls into this clone's
-// body.
-func cloneIteration(f *ir.Func, l *ir.Loop, m *cloneMap, last bool, cs counterShape) {
-	var order []*ir.Block
-	for _, b := range f.Blocks {
-		if l.Contains(b) {
-			order = append(order, b)
-		}
-	}
+// cloneIteration clones the loop body, whose blocks order lists, for one
+// iteration, mapping each loop block and value to its clone in m. Header
+// phis are not cloned: m maps each to the value it takes in this
+// iteration. When last is set, the header's branch exits the loop;
+// otherwise it falls into this clone's body.
+func cloneIteration(f *ir.Func, l *ir.Loop, order []*ir.Block, m *cloneMap, last bool, cs counterShape) {
 	for _, b := range order {
 		m.setBlock(b, f.NewBlock())
 	}
