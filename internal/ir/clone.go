@@ -3,6 +3,7 @@ package ir
 import (
 	"fmt"
 
+	"dcelens/internal/pool"
 	"dcelens/internal/types"
 )
 
@@ -47,10 +48,14 @@ func (m *Module) Clone() *Module {
 			return k
 		})
 	}
-	c := &bodyCloner{globals: globals, funcs: funcs}
+	c := clonerPool.Get()
+	c.globals, c.funcs = globals, funcs
 	for i, f := range m.Funcs {
 		c.clone(f, out.Funcs[i])
 	}
+	c.blocks, c.instrs = truncate(c.blocks), truncate(c.instrs)
+	c.globals, c.funcs, c.f = nil, nil, nil
+	clonerPool.Put(c)
 	return out
 }
 
@@ -70,7 +75,10 @@ func cloneSlice[T any](s []T, fn func(T) T) []T {
 // bodyCloner copies function bodies. It finds the copy of a block or
 // value in a table indexed by its ID, whose slots also hold the original,
 // so that an object of another function with a colliding ID is never
-// taken for the one the slot holds.
+// taken for the one the slot holds. Every compile trie fork clones a
+// module, so the tables are recycled through clonerPool; as the
+// verifier's are, each is zero beyond its length, and a cloner back in
+// its pool holds no object of either module.
 type bodyCloner struct {
 	globals map[*Global]*Global
 	funcs   map[*Func]*Func
@@ -83,6 +91,8 @@ type (
 	blockPair struct{ old, new *Block }
 	instrPair struct{ old, new *Instr }
 )
+
+var clonerPool = pool.Pool[bodyCloner]{New: func() *bodyCloner { return new(bodyCloner) }}
 
 // clone copies f's body into nf: every object first, then every
 // reference through the tables.

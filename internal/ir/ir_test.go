@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 	"unsafe"
 
+	"dcelens/internal/pool/pooltest"
 	"dcelens/internal/types"
 )
 
@@ -274,5 +275,30 @@ func TestReplaceAllUsesAndCount(t *testing.T) {
 func TestInstrSize(t *testing.T) {
 	if got := unsafe.Sizeof(Instr{}); got != 96 {
 		t.Fatalf("ir.Instr is %d bytes, want 96: the next size class is 112 bytes, so a new field must share a word an existing field already uses", got)
+	}
+}
+
+// TestClonerPoolZero: a module cloner back in its pool references no
+// block or value of either module, after modules whose functions grow and
+// then shrink (the pooled-scratch rule of internal/opt's scratch.go).
+func TestClonerPoolZero(t *testing.T) {
+	for _, n := range []int{3, 9, 14, 6, 2} {
+		var edges [][2]int
+		for i := 0; i+1 < n; i++ {
+			edges = append(edges, [2]int{i, i + 1}, [2]int{i, (i + 2) % n})
+		}
+		m := &Module{Funcs: []*Func{buildCFG(n, edges), buildCFG(1, nil)}}
+		if got, want := m.Clone().String(), m.String(); got != want {
+			t.Fatalf("%d blocks: the clone prints\n%s\nthe original\n%s", n, got, want)
+		}
+	}
+	states := pooltest.Drain(&clonerPool)
+	if len(states) == 0 {
+		t.Fatal("the cloner pool held no state after Clone ran")
+	}
+	for _, c := range states {
+		if path, ok := pooltest.Pinned(c); ok {
+			t.Errorf("pooled cloner references memory at %s", path)
+		}
 	}
 }
