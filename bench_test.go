@@ -942,3 +942,31 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCampaignRetained reports the heap a finished campaign keeps
+// live: a fixed 30-program campaign at -j 1, dce-campaign's default -n,
+// whose Campaign holds every program's results, each configuration's
+// final module among them. The retained-B metric is HeapAlloc after a
+// collection with the campaign reachable, less the same after it is
+// dropped, so the pooled pass scratch and everything else the process
+// keeps cancel out. It is deterministic to within a few kilobytes
+// (scripts/check.sh gates it).
+func BenchmarkCampaignRetained(b *testing.B) {
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	var retained uint64
+	for i := 0; i < b.N; i++ {
+		c, err := corpus.Run(corpus.Options{Programs: 30, BaseSeed: 1, Workers: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		held := liveHeap()
+		runtime.KeepAlive(c)
+		retained = held - liveHeap()
+	}
+	b.ReportMetric(float64(retained), "retained-B")
+}

@@ -141,16 +141,19 @@ overhead_gate Trace "budget ~15%" 1.35 1.08 30
 # comparison per decision.
 overhead_gate Remark "budget ~3%" 1.25 1.08 3
 
-# Allocation-regression gate: allocs/op of the standard compile unit, and
-# B/op of the sweep-shaped campaign (what one dce-serve sweep job
-# computes), must each stay within 10% of the baselines recorded in
-# scripts/alloc-baseline.txt (first and second line). Unlike wall time,
-# allocation counts and bytes are nearly deterministic for the fixed
-# benchmark seeds, so this catches churn regressions (a pass reintroducing
-# per-iteration map rebuilds, an analysis rebuilding its tables instead of
-# reusing them) that timing gates would hide in noise.
+# Allocation-regression gate: allocs/op of the standard compile unit, B/op
+# of the sweep-shaped campaign (what one dce-serve sweep job computes), and
+# the heap a finished 30-program campaign keeps live must each stay within
+# 10% of the baselines recorded in scripts/alloc-baseline.txt (first,
+# second and third line). Unlike wall time, allocation counts and bytes
+# are nearly deterministic for the fixed benchmark seeds, so this catches
+# churn regressions (a pass reintroducing per-iteration map rebuilds, an
+# analysis rebuilding its tables instead of reusing them) that timing gates
+# would hide in noise, and the retained heap catches IR that grows again
+# (ir.Instr's 96 bytes are pinned by TestInstrSize).
 unit_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 1p)
 sweep_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 2p)
+retained_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 3p)
 go test -run '^$' -bench 'BenchmarkUnitCompile$' -benchmem -benchtime 5x . | awk -v base="$unit_baseline" '
     /BenchmarkUnitCompile/ { for (i = 1; i < NF; i++) if ($(i+1) == "allocs/op") allocs = $i }
     END {
@@ -166,6 +169,14 @@ go test -run '^$' -bench 'BenchmarkCampaignThroughput/sweep$' -benchmem -benchti
         ratio = bytes / base
         printf "sweep campaign bytes: %d/op (baseline %d, gate +10%%)\n", bytes, base
         if (ratio > 1.10) { print "B/op regressed beyond the gate; if intentional, re-record scripts/alloc-baseline.txt" > "/dev/stderr"; exit 1 }
+    }'
+go test -run '^$' -bench 'BenchmarkCampaignRetained$' -benchtime 1x . | awk -v base="$retained_baseline" '
+    /BenchmarkCampaignRetained/ { for (i = 1; i < NF; i++) if ($(i+1) == "retained-B") bytes = $i }
+    END {
+        if (bytes == 0) { print "retained campaign bench did not run" > "/dev/stderr"; exit 1 }
+        ratio = bytes / base
+        printf "finished campaign retains: %d B (baseline %d, gate +10%%)\n", bytes, base
+        if (ratio > 1.10) { print "retained heap regressed beyond the gate; if intentional, re-record scripts/alloc-baseline.txt" > "/dev/stderr"; exit 1 }
     }'
 
 # Parallel scaling gate: the scheduler must buy real throughput, not just
