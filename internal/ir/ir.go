@@ -208,12 +208,12 @@ func (b *Block) Succs() []*Block {
 
 // Instr is an SSA instruction; it doubles as the SSA value it produces.
 //
-// Its 96 bytes are a Go size class, and a module holds hundreds of
-// thousands of instructions, so every field earns its word: the op, the
-// operator, the Widened flag and the ID share the first one, and each
-// payload field serves several ops. IntVal is OpConst's value, OpParam's
-// parameter number and OpAlloca's element count; no other op reads it.
-// Edges lists the blocks at the other end of the CFG edges the
+// Its 96 bytes are a Go size class, and a finished campaign holds
+// hundreds of thousands of instructions, so every field earns its word:
+// the op, the operator, the Widened flag and the ID share the first one,
+// and each payload field serves several ops. IntVal is OpConst's value,
+// OpParam's parameter number and OpAlloca's element count; no other op
+// reads it. Edges lists the blocks at the other end of the CFG edges the
 // instruction names: OpBr's target, OpCondBr's true and false targets, or
 // the block each of an OpPhi's Args flows in from. No other op has any.
 type Instr struct {

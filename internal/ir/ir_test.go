@@ -269,9 +269,9 @@ func TestReplaceAllUsesAndCount(t *testing.T) {
 }
 
 // TestInstrSize pins the instruction layout at 96 bytes, a Go size class.
-// A module holds hundreds of thousands of instructions and every compile
-// trie clone copies them, so a field that pushes the struct past 96 bytes
-// costs each of them the next size class, 112 bytes.
+// A finished campaign holds hundreds of thousands of instructions and
+// every compile trie fork copies a module's, so a field that pushes the
+// struct past 96 bytes costs each of them the next size class, 112 bytes.
 func TestInstrSize(t *testing.T) {
 	if got := unsafe.Sizeof(Instr{}); got != 96 {
 		t.Fatalf("ir.Instr is %d bytes, want 96: the next size class is 112 bytes, so a new field must share a word an existing field already uses", got)
