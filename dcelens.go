@@ -58,6 +58,9 @@ type Marker = instrument.Marker
 type Truth = core.Truth
 
 // Compilation is a compiled program plus its surviving-marker set.
+// Compile, Analyze and their traced and remarked forms return it with the
+// optimized Module; the compilations a Campaign holds have a nil Module,
+// and VerifyAgainstTruth recompiles such a unit to check it.
 type Compilation = core.Compilation
 
 // MarkerCFG is the interprocedural marker graph used for primary-marker

@@ -60,11 +60,17 @@ func GroundTruth(ins *instrument.Program) (*Truth, error) {
 // compiler configuration.
 type Compilation struct {
 	Config *pipeline.Config
+	// Module is the optimized module Asm was emitted from. A campaign
+	// (corpus.Run) keeps only the assembly, so the compilations it holds
+	// have a nil Module; VerifyAgainstTruth then recompiles the unit.
 	Module *ir.Module
 	Asm    string
 	// Alive holds the markers surviving in the assembly (the compiler
 	// could not prove their blocks dead).
 	Alive map[string]bool
+
+	// ins is the instrumented program the compilation was compiled from.
+	ins *instrument.Program
 }
 
 // Compile lowers, optimizes, and code-generates the instrumented program
@@ -84,8 +90,27 @@ func Compile(ins *instrument.Program, cfg *pipeline.Config, h Hooks) (*Compilati
 // assumption of the paper (a compiler that miscompiles would invalidate
 // the oracle, and a marker surviving in the binary of a miscompiled
 // program is a correctness bug, not a missed optimization).
+//
+// Without a Module, it recompiles the program alone under the same
+// configuration and executes that module, once its assembly equals Asm
+// byte for byte: only then does the executed module stand for the
+// assembly the oracle read.
 func (c *Compilation) VerifyAgainstTruth(t *Truth) error {
-	res, err := ir.Execute(c.Module, ir.ExecOptions{})
+	m := c.Module
+	if m == nil {
+		if c.ins == nil {
+			return fmt.Errorf("core: %s: no module to execute and no program to recompile", c.Config.Name())
+		}
+		re, err := Compile(c.ins, c.Config, Hooks{})
+		if err != nil {
+			return fmt.Errorf("core: %s: recompiling: %w", c.Config.Name(), err)
+		}
+		if re.Asm != c.Asm {
+			return fmt.Errorf("core: %s: recompiled assembly differs from the compilation's", c.Config.Name())
+		}
+		m = re.Module
+	}
+	res, err := ir.Execute(m, ir.ExecOptions{})
 	if err != nil {
 		return fmt.Errorf("core: %s: compiled module crashed: %w", c.Config.Name(), err)
 	}

@@ -77,6 +77,9 @@ int main(void) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if o0.Module == nil {
+		t.Fatal("Compile's result holds no module")
+	}
 	if len(o0.Missed(truth)) != 1 {
 		t.Errorf("-O0 should miss the marker; asm:\n%s", o0.Asm)
 	}

@@ -262,7 +262,7 @@ func (p *Paused) Compile(h Hooks) (*Compilation, error) {
 			}
 		}
 	}
-	return &Compilation{Config: p.cfg, Module: m, Asm: text, Alive: alive}, nil
+	return &Compilation{Config: p.cfg, Module: m, Asm: text, Alive: alive, ins: p.ins}, nil
 }
 
 // Analyze continues the compile (Compile) and analyzes it as the function

@@ -587,6 +587,9 @@ func runConfig(o Options, h *harness.Harness, r *ProgramResult, key ConfigKey, p
 				return fmt.Errorf("%w: %v", harness.ErrMiscompile, verr)
 			}
 		}
+		// The oracle reads only the assembly, so the campaign keeps no
+		// module; VerifyAgainstTruth recompiles the unit when asked.
+		an.Compilation.Module = nil
 		out = an
 		return nil
 	})
