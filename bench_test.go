@@ -945,12 +945,12 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 
 // BenchmarkCampaignRetained reports the heap a finished campaign keeps
 // live: a fixed 30-program campaign at -j 1, dce-campaign's default -n,
-// whose Campaign holds every program's results, each configuration's
-// final module among them. The retained-B metric is HeapAlloc after a
-// collection with the campaign reachable, less the same after it is
-// dropped, so the pooled pass scratch and everything else the process
-// keeps cancel out. It is deterministic to within a few kilobytes
-// (scripts/check.sh gates it).
+// whose Campaign holds every program's results: each unit's assembly and
+// analysis and each program's instrumented source, but no module. The
+// retained-B metric is HeapAlloc after a collection with the campaign
+// reachable, less the same after it is dropped, so the pooled pass
+// scratch and everything else the process keeps cancel out. It is
+// deterministic to within a few kilobytes (scripts/check.sh gates it).
 func BenchmarkCampaignRetained(b *testing.B) {
 	liveHeap := func() uint64 {
 		runtime.GC()

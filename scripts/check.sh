@@ -149,8 +149,10 @@ overhead_gate Remark "budget ~3%" 1.25 1.08 3
 # are nearly deterministic for the fixed benchmark seeds, so this catches
 # churn regressions (a pass reintroducing per-iteration map rebuilds, an
 # analysis rebuilding its tables instead of reusing them) that timing gates
-# would hide in noise, and the retained heap catches IR that grows again
-# (ir.Instr's 96 bytes are pinned by TestInstrSize).
+# would hide in noise, and the retained heap catches a campaign that keeps
+# more than each unit's assembly and analysis and each program's
+# instrumented source: were it to hold every unit's module again, it
+# would retain over four times the baseline.
 unit_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 1p)
 sweep_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 2p)
 retained_baseline=$(grep -v '^#' scripts/alloc-baseline.txt | sed -n 3p)
