@@ -14,6 +14,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -218,26 +219,43 @@ func TestCmdServeSIGTERMDrainResume(t *testing.T) {
 		return st.State == "running" && st.SeedsDone >= 1
 	})
 
+	// The HTTP server stays up while the engine drains: /healthz must pass
+	// through "draining" before the listener closes. The drain lasts only
+	// as long as the seed in flight, so the poller is already polling when
+	// the signal goes, and polls until the listener closes.
+	polling := make(chan struct{})
+	polled := make(chan []string, 1)
+	go func() {
+		var statuses []string
+		defer func() { polled <- statuses }()
+		for hammer := time.Now().Add(60 * time.Second); time.Now().Before(hammer); {
+			resp, err := http.Get("http://" + addr + "/healthz")
+			if err != nil {
+				return // listener closed: drain finished
+			}
+			var health struct {
+				Status string `json:"status"`
+			}
+			_ = json.NewDecoder(resp.Body).Decode(&health)
+			resp.Body.Close()
+			statuses = append(statuses, health.Status)
+			if len(statuses) == 1 {
+				close(polling)
+			}
+		}
+	}()
+	select {
+	case <-polling:
+	case statuses := <-polled:
+		t.Fatalf("/healthz did not answer before SIGTERM (statuses %q)", statuses)
+	}
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
-	// The HTTP server stays up while the engine drains: /healthz must pass
-	// through "draining" before the listener closes.
-	sawDraining := false
-	hammer := time.Now().Add(60 * time.Second)
-	for time.Now().Before(hammer) {
-		resp, err := http.Get("http://" + addr + "/healthz")
-		if err != nil {
-			break // listener closed: drain finished
-		}
-		b, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if strings.Contains(string(b), `"draining"`) {
-			sawDraining = true
-		}
-	}
-	if !sawDraining {
-		t.Error("/healthz never reported draining during shutdown")
+	statuses := <-polled
+	if !slices.Contains(statuses, "draining") {
+		t.Errorf("/healthz never reported draining during shutdown: %d polls answered %q in turn",
+			len(statuses), slices.Compact(slices.Clone(statuses)))
 	}
 
 	<-tail.done
